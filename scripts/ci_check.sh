@@ -1,17 +1,19 @@
 #!/bin/bash
-# Correctness-checking CI tier: clang-tidy static analysis over src/ plus the
+# Correctness-checking CI tier: clang-tidy static analysis over src/, the
 # full test suite with the runtime checker attached (TCIO_CHECK=1, see
-# src/check/ and DESIGN.md §9). The clang-tidy pass is STRICT — findings fail
-# the job — when the pinned major version (TCIO_TIDY_VERSION) is what runs:
-# check sets drift across majors, so only the pinned toolchain's verdict is
-# authoritative. A runner with a different clang-tidy runs it advisory; a
-# runner with none skips the pass (the runtime tier below is always the
-# gate). TCIO_TIDY_STRICT=0/1 force-overrides the version-derived default.
+# src/check/ and DESIGN.md §9), then a Release build and suite. The
+# clang-tidy pass is STRICT — findings fail the job — when the pinned major
+# version (TCIO_TIDY_VERSION) is what runs: check sets drift across majors,
+# so only the pinned toolchain's verdict is authoritative. A runner with a
+# different clang-tidy runs it advisory; a runner with none skips the pass
+# (the runtime tier below is always the gate). TCIO_TIDY_STRICT=0/1
+# force-overrides the version-derived default.
 #
 #   TCIO_CHECK_BUILD    build directory (default build-check)
 #   TCIO_TIDY_VERSION   pinned clang-tidy major version (default 18)
 #   TCIO_TIDY_STRICT    0/1 = force advisory/strict (default: auto by pin)
 #   TCIO_TIDY_JOBS      parallel tidy processes (default nproc)
+#   TCIO_RELEASE_BUILD  Release build directory (default build-release)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,4 +100,15 @@ echo "== delegate churn under TCIO_CHECK=1, TCIO_DELEGATES=2 =="
 TCIO_CHECK=1 TCIO_DELEGATES=2 ctest --test-dir "$BUILD" \
   --output-on-failure -R 'DelegateChurnTest|DelegateQueueTest'
 
-echo "ci_check: OK (tidy rc=$tidy_rc, checker-enabled suite green)"
+# -- Release build -------------------------------------------------------------
+# The default build type is RelWithDebInfo; Release (-O3 -DNDEBUG) turns on
+# different GCC diagnostics (GCC 12 -Wrestrict, for one), so it must compile
+# under the same -Werror and pass the same suite.
+REL_BUILD=${TCIO_RELEASE_BUILD:-build-release}
+echo "== Release build + test suite =="
+cmake -B "$REL_BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$REL_BUILD" -j "$(nproc)"
+ctest --test-dir "$REL_BUILD" --output-on-failure -j "$(nproc)"
+
+echo "ci_check: OK (tidy rc=$tidy_rc, checker-enabled suite and Release" \
+  "suite green)"

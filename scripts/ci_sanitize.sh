@@ -25,18 +25,21 @@ TCIO_FAULT_SEED=7 \
 
 # -- ThreadSanitizer ----------------------------------------------------------
 # The engine runs one OS thread per rank with a strict one-active-rank
-# handoff, and the delegate server core multiplexes 10k+ client queues over
-# it; TSan on the delegate and chaos suites checks that discipline where it
-# is busiest. Currently clean with no suppressions — if the engine handoff
-# ever needs one, drop it in scripts/tsan.supp and it is picked up here.
+# handoff (plain waits, timed waits whose timer is a gate key), and the
+# delegate server core multiplexes 10k+ client queues over it; TSan on the
+# engine, liveness, delegate and chaos suites checks that discipline where
+# it is busiest. Currently clean with no suppressions — if the engine
+# handoff ever needs one, drop it in scripts/tsan.supp and it is picked up
+# here.
 TSAN_BUILD=build-tsan
 cmake -B "$TSAN_BUILD" -S . -DTCIO_SANITIZE=thread >/dev/null
-cmake --build "$TSAN_BUILD" -j "$(nproc)" --target test_delegate test_chaos
+cmake --build "$TSAN_BUILD" -j "$(nproc)" \
+  --target test_sim test_mpi test_delegate test_chaos
 TSAN_OPTIONS="halt_on_error=1"
 if [ -f scripts/tsan.supp ]; then
   TSAN_OPTIONS="$TSAN_OPTIONS suppressions=$(pwd)/scripts/tsan.supp"
 fi
-echo "== delegate + chaos suites under TSan =="
+echo "== engine + liveness + delegate + chaos suites under TSan =="
 TSAN_OPTIONS="$TSAN_OPTIONS" \
   ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$(nproc)" \
-  -R 'Delegate|Chaos'
+  -R 'Engine|Liveness|Delegate|Chaos'

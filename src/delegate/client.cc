@@ -76,8 +76,7 @@ bool Channel::awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
     if (s_->crashEnabled()) {
       const bool got = comm_->recvUntil(
           buf.data(), static_cast<Bytes>(buf.size()), delegate, kRepTag,
-          comm_->proc().now() + s_->config().crash.liveness_window,
-          s_->config().crash.liveness_poll, &st);
+          comm_->proc().now() + s_->config().crash.liveness_window, &st);
       if (!got) {
         suspect(delegate);
         return false;

@@ -11,12 +11,6 @@
 
 namespace tcio::delegate {
 
-namespace {
-/// Virtual-time quantum for the nonblocking arrival probe (recvUntil with
-/// deadline == now returns immediately; the poll value is never waited).
-constexpr SimTime kProbePoll = 1.0e-9;
-}  // namespace
-
 Server::Server(Session& session)
     : s_(&session), comm_(&session.comm()),
       client_(session.filesystem(), session.comm().proc()),
@@ -62,11 +56,12 @@ void Server::drainArrivals(bool block) {
         buf.data(), static_cast<Bytes>(buf.size()), mpi::kAnySource, kReqTag);
     handleArrival(buf.data(), st.count);
   }
+  // Nonblocking arrival probe: recvUntil with deadline == now never waits.
   for (;;) {
     mpi::RecvStatus st;
     const bool got = comm_->recvUntil(
         buf.data(), static_cast<Bytes>(buf.size()), mpi::kAnySource, kReqTag,
-        comm_->proc().now(), kProbePoll, &st);
+        comm_->proc().now(), &st);
     if (!got) break;
     handleArrival(buf.data(), st.count);
   }

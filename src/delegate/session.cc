@@ -104,7 +104,7 @@ const core::TcioDelegateStats& Session::finish() {
         got = comm_->recvUntil(buf.data(), static_cast<Bytes>(buf.size()), d,
                                kRepTag,
                                comm_->proc().now() + cfg_.crash.liveness_window,
-                               cfg_.crash.liveness_poll, &st);
+                               &st);
       } else {
         st = comm_->recv(buf.data(), static_cast<Bytes>(buf.size()), d,
                          kRepTag);

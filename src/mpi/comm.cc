@@ -131,8 +131,7 @@ Request Comm::irecv(void* buf, Bytes capacity, Rank src, int tag) {
 }
 
 bool Comm::recvUntil(void* buf, Bytes capacity, Rank src, int tag,
-                     SimTime deadline, SimTime poll, RecvStatus* out) {
-  TCIO_CHECK_MSG(poll > 0, "recvUntil needs a positive poll quantum");
+                     SimTime deadline, RecvStatus* out) {
   sim::Proc& p = *proc_;
   auto pr = std::make_shared<detail::PendingRecv>();
   pr->want_src = src;
@@ -141,42 +140,32 @@ bool Comm::recvUntil(void* buf, Bytes capacity, Rank src, int tag,
   pr->buf = static_cast<std::byte*>(buf);
   pr->capacity = capacity;
   p.atomic([&] { postRecvLocked(*world_, p, p.rank(), pr); });
-  // Poll the completion event in virtual-time steps instead of blocking:
-  // a blocking wait on a message from a crashed rank would trip the
-  // engine's deadlock detector; this failure-detector loop gives up at the
-  // deadline instead. Polls are atomic sections, so the schedule stays in
-  // global virtual-time order (deterministic).
-  for (;;) {
-    const bool ready = p.atomic([&] { return pr->ev.ready(); });
-    if (ready) {
-      p.advanceTo(pr->ev.time());
-      if (out != nullptr) *out = {pr->src, pr->tag, pr->received};
-      return true;
-    }
-    if (p.now() >= deadline) break;
-    p.advance(std::min(poll, deadline - p.now()));
-  }
-  // Timed out. Cancel the posted receive under the same atomic that takes
-  // the final look — otherwise a late sender could memcpy into a buffer the
-  // caller is about to abandon.
-  const bool matched_late = p.atomic([&] {
-    if (pr->ev.ready()) return true;
-    detail::Mailbox& mb = world_->mailbox(p.rank());
-    for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
-      if (it->get() == pr.get()) {
-        mb.posted.erase(it);
-        return false;
+  // A plain wait on a message from a crashed rank would trip the engine's
+  // deadlock detector; the timed wait gives up at the deadline instead, in
+  // global (time, rank) order, so the verdict is deterministic.
+  bool got = p.waitUntil(pr->ev, deadline, "MPI_Recv (deadline)");
+  if (!got) {
+    // Cancel the posted receive under an atomic that takes a final look —
+    // otherwise a late sender could memcpy into a buffer the caller is about
+    // to abandon. A probe (deadline <= now) has not gated yet, so a sender
+    // ordered before us can still match here.
+    got = p.atomic([&] {
+      if (pr->ev.ready()) return true;
+      detail::Mailbox& mb = world_->mailbox(p.rank());
+      for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
+        if (it->get() == pr.get()) {
+          mb.posted.erase(it);
+          return false;
+        }
       }
-    }
-    TCIO_CHECK_MSG(false, "recvUntil: pending receive neither ready nor posted");
-    return false;
-  });
-  if (matched_late) {
-    p.advanceTo(pr->ev.time());
-    if (out != nullptr) *out = {pr->src, pr->tag, pr->received};
-    return true;
+      TCIO_CHECK_MSG(false,
+                     "recvUntil: pending receive neither ready nor posted");
+      return false;
+    });
+    if (got) p.advanceTo(pr->ev.time());
   }
-  return false;
+  if (got && out != nullptr) *out = {pr->src, pr->tag, pr->received};
+  return got;
 }
 
 RecvStatus Comm::wait(Request& req) { return waitInternal(req, true); }

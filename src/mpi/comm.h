@@ -78,13 +78,14 @@ class Comm {
   Request irecv(void* buf, Bytes capacity, Rank src, int tag);
 
   /// Receive with a virtual-time deadline: blocks until a matching message
-  /// arrives or this rank's clock reaches `deadline`. On success returns
-  /// true and fills `out` like recv; on timeout returns false after
-  /// cancelling the posted receive (no dangling buffer is left behind).
-  /// Polls in `poll`-sized virtual-time steps — the liveness protocol's
-  /// failure-detector primitive.
+  /// is sent or the engine gate reaches (deadline, this rank), whichever
+  /// comes first (sim::Proc::waitUntil). On success returns true, fills
+  /// `out` like recv and advances the clock to the delivery time; on timeout
+  /// returns false at `deadline` after cancelling the posted receive (no
+  /// dangling buffer is left behind). `deadline <= now()` makes it a
+  /// nonblocking probe. The liveness protocol's failure-detector primitive.
   bool recvUntil(void* buf, Bytes capacity, Rank src, int tag,
-                 SimTime deadline, SimTime poll, RecvStatus* out = nullptr);
+                 SimTime deadline, RecvStatus* out = nullptr);
 
   /// Combined send+receive without deadlock (MPI_Sendrecv).
   RecvStatus sendrecv(const void* sendbuf, Bytes send_n, Rank dst,

@@ -1,6 +1,5 @@
 #include "mpi/liveness.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
@@ -23,15 +22,16 @@ struct VoteMsg {
   std::int32_t code = 0;
 };
 
-/// Fixed-size header of a verdict message; `words` 64-bit suspicion bitmap
-/// words follow on the wire (word r/64, bit r%64 set = sender suspects rank
-/// r). Every rank derives the same word count from the communicator size, so
-/// the wire size is deterministic.
+/// Fixed-size header of a verdict message. On the wire it is followed by
+/// `words` 64-bit suspicion bitmap words (word r/64, bit r%64 set = sender
+/// suspects rank r) and then `what_len` bytes of error text. Every rank
+/// derives the same word count from the communicator size; the text is
+/// empty unless `code` is an error, so a clean verdict is header + bitmap.
 struct VerdictHeader {
   std::int32_t epoch = 0;
   std::int32_t code = 0;
   std::int32_t words = 0;
-  char what[160] = {};
+  std::int32_t what_len = 0;
 };
 
 void setBit(std::vector<std::uint64_t>& bits, Rank r) {
@@ -59,18 +59,13 @@ std::vector<Rank> LivenessOutcome::survivors(int comm_size) const {
 }
 
 LivenessOutcome agreeWithLiveness(Comm& comm, const CapturedError& local,
-                                  int epoch, SimTime window, SimTime poll) {
+                                  int epoch, SimTime window) {
   const int P = comm.size();
   const Rank me = comm.rank();
-  TCIO_CHECK_MSG(window > 0 && poll > 0, "liveness window/poll must be > 0");
+  TCIO_CHECK_MSG(window > 0, "liveness window must be > 0");
   /// Suspicion bitmap width in 64-bit words (any communicator size).
   const std::size_t kWords = static_cast<std::size_t>(P + 63) / 64;
-
-  LivenessOutcome out;
-  out.code = local.code;
-  std::int32_t best_code = local.code;
-  Rank best_owner = me;
-  std::string best_what = local.what;
+  const std::size_t kBitmapBytes = kWords * sizeof(std::uint64_t);
 
   // -- Round 1: vote ----------------------------------------------------------
   const int tag_vote = livenessTag(epoch, 0);
@@ -89,36 +84,31 @@ LivenessOutcome agreeWithLiveness(Comm& comm, const CapturedError& local,
   for (Rank r = 0; r < P; ++r) {
     if (r == me) continue;
     VoteMsg in;
-    if (comm.recvUntil(&in, sizeof(in), r, tag_vote, vote_deadline, poll)) {
+    if (comm.recvUntil(&in, sizeof(in), r, tag_vote, vote_deadline)) {
       TCIO_CHECK_MSG(in.epoch == epoch, "liveness vote from a stale epoch");
-      if (in.code > best_code || (in.code == best_code && r < best_owner)) {
-        // Round-1 votes carry no message; remember the owner so a round-2
-        // verdict from the same rank can fill it in.
-        best_code = std::max(best_code, in.code);
-        if (in.code > out.code) out.code = in.code;
-      }
     } else {
       setBit(suspects, r);
     }
   }
 
   // -- Round 2: verdict -------------------------------------------------------
-  // A verdict is a fixed header followed by the word-vector suspicion
-  // bitmap, so any communicator size works (the bitmap was a single
-  // uint64_t — and the protocol P <= 64 — before).
   const int tag_verdict = livenessTag(epoch, 1);
-  const std::size_t msg_size =
-      sizeof(VerdictHeader) + kWords * sizeof(std::uint64_t);
-  std::vector<std::byte> verdict(msg_size);
+  std::string best_what;
+  if (local.code != CapturedError::kNone) {
+    best_what = local.what.substr(0, kLivenessMaxWhat);
+  }
+  std::vector<std::byte> verdict;
   {
     VerdictHeader hdr;
     hdr.epoch = static_cast<std::int32_t>(epoch);
     hdr.code = local.code;
     hdr.words = static_cast<std::int32_t>(kWords);
-    std::strncpy(hdr.what, local.what.c_str(), sizeof(hdr.what) - 1);
+    hdr.what_len = static_cast<std::int32_t>(best_what.size());
+    verdict.resize(sizeof(hdr) + kBitmapBytes + best_what.size());
     std::memcpy(verdict.data(), &hdr, sizeof(hdr));
-    std::memcpy(verdict.data() + sizeof(hdr), suspects.data(),
-                kWords * sizeof(std::uint64_t));
+    std::memcpy(verdict.data() + sizeof(hdr), suspects.data(), kBitmapBytes);
+    std::memcpy(verdict.data() + sizeof(hdr) + kBitmapBytes,
+                best_what.data(), best_what.size());
   }
   {
     std::vector<Request> sends;
@@ -126,35 +116,42 @@ LivenessOutcome agreeWithLiveness(Comm& comm, const CapturedError& local,
     for (Rank r = 0; r < P; ++r) {
       if (r == me) continue;
       sends.push_back(comm.isend(verdict.data(),
-                                 static_cast<Bytes>(msg_size), r,
+                                 static_cast<Bytes>(verdict.size()), r,
                                  tag_verdict));
     }
     comm.waitAll(sends);
   }
-  best_code = local.code;
-  best_owner = me;
-  best_what = local.what;
+  std::int32_t best_code = local.code;
+  Rank best_owner = me;
   std::vector<std::uint64_t> dead_bits = suspects;
-  std::vector<std::byte> in(msg_size);
+  std::vector<std::byte> in(sizeof(VerdictHeader) + kBitmapBytes +
+                            kLivenessMaxWhat);
   std::vector<std::uint64_t> in_bits(kWords);
   const SimTime verdict_deadline = comm.proc().now() + window;
   for (Rank r = 0; r < P; ++r) {
     if (r == me) continue;
-    if (comm.recvUntil(in.data(), static_cast<Bytes>(msg_size), r,
-                       tag_verdict, verdict_deadline, poll)) {
+    RecvStatus st;
+    if (comm.recvUntil(in.data(), static_cast<Bytes>(in.size()), r,
+                       tag_verdict, verdict_deadline, &st)) {
       VerdictHeader hdr;
       std::memcpy(&hdr, in.data(), sizeof(hdr));
       TCIO_CHECK_MSG(hdr.epoch == epoch, "liveness verdict from a stale epoch");
       TCIO_CHECK_MSG(hdr.words == static_cast<std::int32_t>(kWords),
                      "liveness verdict bitmap width mismatch");
-      std::memcpy(in_bits.data(), in.data() + sizeof(hdr),
-                  kWords * sizeof(std::uint64_t));
+      TCIO_CHECK_MSG(hdr.what_len >= 0 &&
+                         st.count == static_cast<Bytes>(sizeof(hdr) +
+                                                        kBitmapBytes) +
+                                         hdr.what_len,
+                     "liveness verdict length mismatch");
+      std::memcpy(in_bits.data(), in.data() + sizeof(hdr), kBitmapBytes);
       for (std::size_t w = 0; w < kWords; ++w) dead_bits[w] |= in_bits[w];
       if (hdr.code > best_code || (hdr.code == best_code && r < best_owner)) {
         best_code = hdr.code;
         best_owner = r;
-        hdr.what[sizeof(hdr.what) - 1] = '\0';
-        best_what = hdr.what;
+        best_what.assign(
+            reinterpret_cast<const char*>(in.data() + sizeof(hdr) +
+                                          kBitmapBytes),
+            static_cast<std::size_t>(hdr.what_len));
       }
     } else {
       // Died between the rounds (or was suspected by everyone): no verdict.
@@ -162,8 +159,9 @@ LivenessOutcome agreeWithLiveness(Comm& comm, const CapturedError& local,
     }
   }
 
+  LivenessOutcome out;
   out.code = best_code;
-  out.what = best_what;
+  out.what = std::move(best_what);
   out.self_dead = testBit(dead_bits, me);
   for (Rank r = 0; r < P; ++r) {
     if (testBit(dead_bits, r)) out.dead.push_back(r);

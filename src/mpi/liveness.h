@@ -19,9 +19,11 @@
 //
 // Messages ride a reserved internal tag block (disjoint from collective
 // tags), so stale traffic from a rank that died mid-collective can never
-// alias a liveness message. Determinism: every send/receive/poll happens in
-// global virtual-time order (Proc::atomic gating), so the same seed and
-// crash schedule yield the same verdict on every run.
+// alias a liveness message. Receives are Comm::recvUntil timed waits, so a
+// round ends when its last message lands (or at the window) rather than on
+// a poll tick. Determinism: every send, receive and timeout happens in
+// global (virtual time, rank) order, so the same seed and crash schedule
+// yield the same verdict on every run.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +45,7 @@ struct LivenessOutcome {
   /// collective window but is actually alive). The caller must self-fence:
   /// stop participating in collectives on this communicator.
   bool self_dead = false;
-  /// Max-reduced CapturedError::Code over every collected vote/verdict.
+  /// Max-reduced CapturedError::Code over every collected verdict.
   std::int32_t code = CapturedError::kNone;
   /// Error message of the lowest rank holding the winning code.
   std::string what;
@@ -52,14 +54,20 @@ struct LivenessOutcome {
   std::vector<Rank> survivors(int comm_size) const;
 };
 
+/// Longest error text a verdict carries.
+inline constexpr std::size_t kLivenessMaxWhat = 159;
+
 /// One agreement epoch over `comm`. All *live* ranks of `comm` must call it
 /// with the same `epoch`; crashed ranks are exactly the ones that don't.
 /// `window` is the virtual-time budget each round waits for a peer before
 /// suspecting it (must exceed the worst-case skew between ranks at the
-/// agreement point); `poll` is the failure-detector poll quantum.
-/// Suspicion sets are word-vector bitmaps, so any communicator size works;
-/// verdict messages carry ceil(P/64) bitmap words after a fixed header.
+/// agreement point).
+/// Suspicion sets are word-vector bitmaps, so any communicator size works.
+/// A verdict message is a 16-byte header (epoch, code, bitmap words, text
+/// length), ceil(P/64) bitmap words, then the error text — present only
+/// when the code is not kNone, and capped at kLivenessMaxWhat characters
+/// (every rank, the sender included, agrees on the capped text).
 LivenessOutcome agreeWithLiveness(Comm& comm, const CapturedError& local,
-                                  int epoch, SimTime window, SimTime poll);
+                                  int epoch, SimTime window);
 
 }  // namespace tcio::mpi

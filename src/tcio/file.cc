@@ -1550,11 +1550,12 @@ std::pair<std::int32_t, std::string> File::agreeAndRecover(
   // for that failure must again be collective.
   for (;;) {
     const mpi::LivenessOutcome out =
-        mpi::agreeWithLiveness(*comm_, err, epoch_++, cfg_.crash.liveness_window,
-                               cfg_.crash.liveness_poll);
+        mpi::agreeWithLiveness(*comm_, err, epoch_++,
+                               cfg_.crash.liveness_window);
     if (out.self_dead) {
-      // Peers unanimously missed this rank inside the liveness window and
-      // have already agreed it dead; rejoining would desynchronize them.
+      // Some peer missed this rank inside the liveness window, and the union
+      // verdict has already declared it dead on every survivor; rejoining
+      // would desynchronize them.
       open_ = false;
       throw RankCrashedError(
           "rank " + std::to_string(orig_rank_) +

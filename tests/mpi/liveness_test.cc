@@ -1,12 +1,14 @@
 // Unit tests for the liveness-tracking agreement protocol in isolation
 // (no TCIO on top): all-live epochs agree on the max error class, a silent
 // rank is unanimously declared dead, survivors can run further epochs on
-// the shrunk membership, and verdicts are deterministic.
+// the shrunk membership, verdicts are deterministic, and the verdict wire
+// format stays compact (capped error text, no text on a clean epoch).
 #include "mpi/liveness.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -16,14 +18,13 @@ namespace tcio::mpi {
 namespace {
 
 constexpr SimTime kWindow = 50.0e-3;
-constexpr SimTime kPoll = 1.0e-3;
 
 TEST(LivenessTest, AllLiveNoErrorAgreesClean) {
   mpi::JobConfig jc;
   jc.num_ranks = 5;
   runJob(jc, [&](Comm& comm) {
     const LivenessOutcome out =
-        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow, kPoll);
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow);
     EXPECT_TRUE(out.dead.empty());
     EXPECT_FALSE(out.self_dead);
     EXPECT_EQ(out.code, CapturedError::kNone);
@@ -50,7 +51,7 @@ TEST(LivenessTest, AllLiveMaxErrorClassWins) {
       }
     }
     const LivenessOutcome out =
-        agreeWithLiveness(comm, err, /*epoch=*/0, kWindow, kPoll);
+        agreeWithLiveness(comm, err, /*epoch=*/0, kWindow);
     EXPECT_TRUE(out.dead.empty());
     // kNoSpace outranks kTransientFs; every rank sees the same winner.
     EXPECT_EQ(out.code, CapturedError::kNoSpace);
@@ -65,7 +66,7 @@ TEST(LivenessTest, SilentRankUnanimouslyDeclaredDead) {
   runJob(jc, [&](Comm& comm) {
     if (comm.rank() == 2) return;  // fail-stop: never calls the agreement
     const LivenessOutcome out =
-        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow, kPoll);
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow);
     verdicts[static_cast<std::size_t>(comm.rank())] = out.dead;
     EXPECT_FALSE(out.self_dead);
     const std::vector<Rank> surv = out.survivors(comm.size());
@@ -90,13 +91,13 @@ TEST(LivenessTest, SurvivorsContinueAcrossEpochsAndShrink) {
     }();
     if (comm.rank() == 4) return;  // dies before epoch 0
     const LivenessOutcome e0 =
-        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow, kPoll);
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow);
     ASSERT_EQ(e0.dead, (std::vector<Rank>{4}));
     Comm shrunk = comm.shrink(e0.survivors(comm.size()), ctx);
     ASSERT_EQ(shrunk.size(), 4);
     // Epoch 1 on the shrunk communicator: everyone present, clean verdict.
     const LivenessOutcome e1 = agreeWithLiveness(shrunk, CapturedError{},
-                                                 /*epoch=*/1, kWindow, kPoll);
+                                                 /*epoch=*/1, kWindow);
     EXPECT_TRUE(e1.dead.empty());
     // The shrunk communicator supports plain collectives again.
     std::int64_t sum = shrunk.rank();
@@ -111,7 +112,7 @@ TEST(LivenessTest, TwoSilentRanksBothDeclaredDead) {
   runJob(jc, [&](Comm& comm) {
     if (comm.rank() == 0 || comm.rank() == 5) return;
     const LivenessOutcome out =
-        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow, kPoll);
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow);
     EXPECT_EQ(out.dead, (std::vector<Rank>{0, 5}));
     EXPECT_FALSE(out.self_dead);
   });
@@ -133,7 +134,7 @@ TEST(LivenessTest, ManyRanksBeyondOneBitmapWord) {
     }();
     if (comm.rank() == 70) return;  // fail-stop, bit 6 of word 1
     const LivenessOutcome out =
-        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow, kPoll);
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow);
     EXPECT_EQ(out.dead, (std::vector<Rank>{70}));
     EXPECT_FALSE(out.self_dead);
     Comm shrunk = comm.shrink(out.survivors(comm.size()), ctx);
@@ -144,6 +145,68 @@ TEST(LivenessTest, ManyRanksBeyondOneBitmapWord) {
   });
 }
 
+TEST(LivenessTest, LongErrorTextIsCappedOnEverySurvivor) {
+  // The verdict carries at most kLivenessMaxWhat characters; every
+  // survivor, the rank that raised the error included, sees the same text.
+  std::string text;
+  for (int i = 0; i < 200; ++i) text += static_cast<char>('a' + i % 26);
+  mpi::JobConfig jc;
+  jc.num_ranks = 5;
+  runJob(jc, [&](Comm& comm) {
+    if (comm.rank() == 4) return;  // fail-stop
+    CapturedError err;
+    if (comm.rank() == 2) err = {CapturedError::kNoSpace, text};
+    const LivenessOutcome out =
+        agreeWithLiveness(comm, err, /*epoch=*/0, kWindow);
+    EXPECT_EQ(out.dead, (std::vector<Rank>{4}));
+    EXPECT_EQ(out.code, CapturedError::kNoSpace);
+    EXPECT_EQ(out.what.size(), 159u);
+    EXPECT_EQ(out.what, text.substr(0, 159));
+  });
+}
+
+TEST(LivenessTest, ShortErrorTextArrivesIntact) {
+  mpi::JobConfig jc;
+  jc.num_ranks = 4;
+  runJob(jc, [&](Comm& comm) {
+    CapturedError err;
+    if (comm.rank() == 3) err = {CapturedError::kOstFailed, "ost 5 failed"};
+    const LivenessOutcome out =
+        agreeWithLiveness(comm, err, /*epoch=*/0, kWindow);
+    EXPECT_EQ(out.code, CapturedError::kOstFailed);
+    EXPECT_EQ(out.what, "ost 5 failed");
+  });
+}
+
+TEST(LivenessTest, CleanEpochMovesOnlyVotesHeadersAndBitmaps) {
+  // A clean verdict is a 16-byte header plus the bitmap — no text field.
+  // Guards against a fixed-size error text coming back onto the wire.
+  constexpr int P = 96;
+  constexpr Bytes kVote = 8;
+  constexpr Bytes kHeader = 16;
+  constexpr Bytes kBitmap = 8 * ((P + 63) / 64);
+  mpi::JobConfig jc;
+  jc.num_ranks = P;
+  Bytes before = -1;
+  Bytes after = -1;
+  runJob(jc, [&](Comm& comm) {
+    const net::Network& net = comm.world().network();
+    // Rank 0 samples before the barrier and after the closing one, so every
+    // rank's liveness traffic falls between the two samples (barrier
+    // messages carry no bytes).
+    if (comm.rank() == 0) comm.proc().atomic([&] { before = net.bytesMoved(); });
+    comm.barrier();
+    const LivenessOutcome out =
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow);
+    EXPECT_TRUE(out.dead.empty());
+    EXPECT_TRUE(out.what.empty());
+    comm.barrier();
+    if (comm.rank() == 0) comm.proc().atomic([&] { after = net.bytesMoved(); });
+  });
+  EXPECT_EQ(after - before,
+            static_cast<Bytes>(P) * (P - 1) * (kVote + kHeader + kBitmap));
+}
+
 TEST(LivenessTest, DeterministicVerdictAndTiming) {
   auto once = [] {
     mpi::JobConfig jc;
@@ -152,7 +215,7 @@ TEST(LivenessTest, DeterministicVerdictAndTiming) {
     const JobResult jr = runJob(jc, [&](Comm& comm) {
       if (comm.rank() == 3) return;
       const LivenessOutcome out = agreeWithLiveness(
-          comm, CapturedError{}, /*epoch=*/0, kWindow, kPoll);
+          comm, CapturedError{}, /*epoch=*/0, kWindow);
       EXPECT_EQ(out.dead, (std::vector<Rank>{3}));
       if (comm.rank() == 0) t_after = comm.proc().now();
     });

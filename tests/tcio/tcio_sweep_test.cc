@@ -35,10 +35,18 @@ std::string paramName(const ::testing::TestParamInfo<SweepParam>& info) {
     case Pattern::kRandomDisjoint: pat = "random"; break;
     case Pattern::kStrided: pat = "strided"; break;
   }
-  return "P" + std::to_string(info.param.procs) + "_seg" +
-         std::to_string(info.param.segment) + (info.param.onesided ? "_1s" : "_2s") +
-         "_" + pat + (info.param.lazy ? "" : "_eager") +
-         (info.param.node_agg ? "_nodeagg" : "");
+  // Appended piecewise: GCC 12's -Wrestrict misfires on long
+  // `"literal" + std::string&&` chains in Release builds.
+  std::string name = "P";
+  name += std::to_string(info.param.procs);
+  name += "_seg";
+  name += std::to_string(info.param.segment);
+  name += info.param.onesided ? "_1s" : "_2s";
+  name += "_";
+  name += pat;
+  if (!info.param.lazy) name += "_eager";
+  if (info.param.node_agg) name += "_nodeagg";
+  return name;
 }
 
 /// One write operation: (absolute offset, length, owning rank).
