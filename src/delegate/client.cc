@@ -14,7 +14,7 @@ namespace tcio::delegate {
 namespace {
 
 /// Admission livelock guard: a queue this persistently full means the
-/// session is misconfigured (watermark 0, or a wedged delegate).
+/// session is misconfigured (queue capacity 0, or a wedged delegate).
 constexpr int kMaxBusyAttempts = 1 << 20;
 
 std::uint64_t bit(int d) { return std::uint64_t{1} << d; }
@@ -255,7 +255,6 @@ void Channel::put(std::uint64_t key, std::vector<WireExtent> extents,
   // Chunk on the frame size and the descriptor extent cap; each chunk is one
   // admission-controlled request.
   const Bytes frame_bytes = s_->frameBytes();
-  const std::int64_t max_extents = s_->config().delegate.max_wire_extents;
   std::vector<WireExtent> chunk;
   Bytes chunk_bytes = 0;
   Bytes consumed = 0;
@@ -274,7 +273,7 @@ void Channel::put(std::uint64_t key, std::vector<WireExtent> extents,
                    "one extent must fit the staging frame — split it");
     if (!chunk.empty() &&
         (chunk_bytes + len > frame_bytes ||
-         static_cast<std::int64_t>(chunk.size()) >= max_extents)) {
+         static_cast<std::int64_t>(chunk.size()) >= kMaxWireExtents)) {
       flush_chunk();
     }
     chunk.push_back(e);
@@ -356,7 +355,6 @@ void Channel::finishGet(std::int64_t seq, std::byte* out) {
 void Channel::get(std::uint64_t key, const std::vector<WireExtent>& extents,
                   std::byte* out) {
   const Bytes frame_bytes = s_->frameBytes();
-  const std::int64_t max_extents = s_->config().delegate.max_wire_extents;
   std::vector<WireExtent> chunk;
   Bytes chunk_bytes = 0;
   Bytes consumed = 0;
@@ -374,7 +372,7 @@ void Channel::get(std::uint64_t key, const std::vector<WireExtent>& extents,
                    "one extent must fit the staging frame — split it");
     if (!chunk.empty() &&
         (chunk_bytes + len > frame_bytes ||
-         static_cast<std::int64_t>(chunk.size()) >= max_extents)) {
+         static_cast<std::int64_t>(chunk.size()) >= kMaxWireExtents)) {
       flush_chunk();
     }
     chunk.push_back(e);

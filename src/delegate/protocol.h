@@ -15,7 +15,6 @@
 #include <string>
 
 #include "common/types.h"
-#include "tcio/config.h"
 
 namespace tcio::delegate {
 
@@ -98,12 +97,14 @@ inline std::uint64_t fileKey(const std::string& name) {
   return h;
 }
 
-/// Upper bound of one descriptor message given the config (recv capacity).
-inline Bytes maxRequestBytes(const core::TcioConfig& cfg) {
+/// Maximum extent descriptors per wire request; clients split larger
+/// submissions.
+inline constexpr std::int64_t kMaxWireExtents = 1024;
+
+/// Upper bound of one descriptor message (recv capacity).
+inline Bytes maxRequestBytes() {
   return static_cast<Bytes>(sizeof(RequestHeader)) +
-         cfg.delegate.max_wire_extents *
-             static_cast<Bytes>(sizeof(WireExtent)) +
-         256;
+         kMaxWireExtents * static_cast<Bytes>(sizeof(WireExtent)) + 256;
 }
 
 /// Upper bound of one reply message (header + stats blob or error text;

@@ -50,7 +50,7 @@ void Server::run() {
 
 void Server::drainArrivals(bool block) {
   std::vector<std::byte> buf(
-      static_cast<std::size_t>(maxRequestBytes(s_->config())));
+      static_cast<std::size_t>(maxRequestBytes()));
   if (block) {
     const mpi::RecvStatus st = comm_->recv(
         buf.data(), static_cast<Bytes>(buf.size()), mpi::kAnySource, kReqTag);
@@ -112,7 +112,7 @@ void Server::handleArrival(const std::byte* buf, Bytes received) {
 }
 
 void Server::admitOrReject(Pending p) {
-  if (data_queued_ >= s_->queueWatermark() || free_frames_.empty()) {
+  if (data_queued_ >= s_->queueCapacity() || free_frames_.empty()) {
     ++stats_.rejections;
     reply(p.h.client, p.h.seq, ReplyKind::kBusy);
     return;
@@ -341,7 +341,7 @@ void Server::servePut(Pending& p) {
     std::memcpy(sb.data.data() + e.begin, cursor,
                 static_cast<std::size_t>(len));
     if (integrity_on_ && e.has_crc != 0) {
-      ledgerInsert(sb, e.begin, len, e.crc);
+      sb.ledger.append(e.begin, payload, e.crc);
     }
     sb.extents.push_back({e.begin, e.end});
     ++sb.raw_extents;
@@ -574,8 +574,7 @@ void Server::adoptShard(int dead) {
         std::memcpy(sb.data.data() + r.disp, r.payload.data(),
                     r.payload.size());
         if (integrity_on_) {
-          ledgerInsert(sb, r.disp, static_cast<Bytes>(r.payload.size()),
-                       crc32(r.payload));
+          sb.ledger.append(r.disp, r.payload, crc32(r.payload));
         }
         sb.extents.push_back(
             {r.disp, r.disp + static_cast<Offset>(r.payload.size())});
@@ -649,84 +648,13 @@ void Server::chargeChecksum(Bytes n) {
                         s_->config().integrity.checksum_bandwidth);
 }
 
-void Server::ledgerInsert(SegBuf& sb, Offset disp, Bytes len,
-                          std::uint32_t crc) {
-  const Offset end = disp + len;
-  // Evict any run whose envelope the new extent overlaps: last writer wins,
-  // and a run's streamed CRC cannot survive a partial rewrite anyway.
-  for (auto it = sb.ledger.begin(); it != sb.ledger.end();) {
-    const Offset b = it->first;
-    const LedgerEntry& ent = it->second;
-    const Offset ent_end =
-        b + static_cast<Offset>(ent.stride) * (ent.count - 1) + ent.len;
-    if (b < end && disp < ent_end) {
-      it = sb.ledger.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Coalesce with the predecessor run when the geometry fits exactly — the
-  // delegate-side mirror of File::digestLevel1: a contiguous neighbour
-  // extends a single piece, an equal-length piece at a constant stride joins
-  // the run, and the CRC streams over the just-applied (verified-clean)
-  // shard bytes. Must run after the extent's memcpy into sb.data.
-  const auto up = sb.ledger.upper_bound(disp);
-  if (up != sb.ledger.begin()) {
-    const auto prev = std::prev(up);
-    LedgerEntry& run = prev->second;
-    const std::span<const std::byte> bytes{sb.data.data() + disp,
-                                           static_cast<std::size_t>(len)};
-    if (run.count == 1 && run.stride == 0 &&
-        disp == prev->first + static_cast<Offset>(run.len)) {
-      run.len += len;
-      run.crc = crc32(bytes, run.crc);
-      return;
-    }
-    if (len == run.len) {
-      if (run.count == 1 && disp > prev->first &&
-          disp - prev->first <= 0xffffffff) {
-        run.stride = static_cast<std::uint32_t>(disp - prev->first);
-        run.count = 2;
-        run.crc = crc32(bytes, run.crc);
-        return;
-      }
-      if (run.count >= 2 &&
-          disp == prev->first + static_cast<Offset>(run.stride) *
-                                    static_cast<Offset>(run.count)) {
-        ++run.count;
-        run.crc = crc32(bytes, run.crc);
-        return;
-      }
-    }
-  }
-  sb.ledger[disp] = {len, /*stride=*/0, /*count=*/1, crc};
-}
-
 void Server::verifySegment(FileState& f, SegmentId g, SegBuf& sb) {
   if (sb.ledger.empty()) return;
-  const auto clean = [&](bool count) {
-    bool ok = true;
-    Bytes checked = 0;
-    for (const auto& [disp, ent] : sb.ledger) {
-      if (count) ++stats_.crc_checks;
-      // Re-stream the CRC across the run's pieces in the order it was built.
-      std::uint32_t acc = 0;
-      for (std::uint32_t k = 0; k < ent.count; ++k) {
-        const Offset piece = disp + static_cast<Offset>(ent.stride) * k;
-        acc = crc32({sb.data.data() + piece,
-                     static_cast<std::size_t>(ent.len)},
-                    acc);
-        checked += ent.len;
-      }
-      if (acc != ent.crc) {
-        if (count) ++stats_.crc_mismatches;
-        ok = false;
-      }
-    }
-    chargeChecksum(checked);
-    return ok;
-  };
-  if (clean(/*count=*/true)) return;
+  const core::SegmentLedger::Tally t = sb.ledger.verify(sb.data.data());
+  stats_.crc_checks += t.runs;
+  stats_.crc_mismatches += t.mismatches;
+  chargeChecksum(t.bytes);
+  if (t.mismatches == 0) return;
   // Repair from this delegate's WAL: with integrity on, every acknowledged
   // put was journaled first, so replaying the segment's records in append
   // order reconstructs exactly the bytes the ledger digests were taken over.
@@ -741,7 +669,9 @@ void Server::verifySegment(FileState& f, SegmentId g, SegBuf& sb) {
     if (r.seg != g) continue;
     std::memcpy(sb.data.data() + r.disp, r.payload.data(), r.payload.size());
   }
-  if (!clean(/*count=*/false)) {
+  const core::SegmentLedger::Tally again = sb.ledger.verify(sb.data.data());
+  chargeChecksum(again.bytes);
+  if (again.mismatches != 0) {
     ++stats_.unrepairable;
     throw IntegrityError("delegate " + std::to_string(me_) + ": segment " +
                          std::to_string(g) + " still corrupt after WAL replay");

@@ -30,6 +30,11 @@ void CapturedError::capture(const std::exception& e) {
 }
 
 void agreeOnError(Comm& comm, const CapturedError& local) {
+  const CapturedError agreed = agreeOnOutcome(comm, local);
+  if (agreed.set()) throwTyped(agreed.code, agreed.what);
+}
+
+CapturedError agreeOnOutcome(Comm& comm, const CapturedError& local) {
   // Label the agreement point itself, so a rank that skips it (or reaches a
   // different collective) is diagnosed against "agreeOnError" rather than
   // one of the allreduces it is built from.
@@ -37,7 +42,7 @@ void agreeOnError(Comm& comm, const CapturedError& local) {
                        "agreeOnError");
   std::int32_t code = local.code;
   comm.allreduce(&code, 1, ReduceOp::kMax);
-  if (code == CapturedError::kNone) return;  // fast path: nobody failed
+  if (code == CapturedError::kNone) return {};  // fast path: nobody failed
 
   // The lowest rank that holds the winning class owns the message.
   std::int32_t owner =
@@ -51,8 +56,7 @@ void agreeOnError(Comm& comm, const CapturedError& local) {
   std::string what(static_cast<std::size_t>(len), '\0');
   if (comm.rank() == owner) what = local.what;
   if (len > 0) comm.bcast(what.data(), len, owner);
-
-  throwTyped(code, what);
+  return {code, what};
 }
 
 void throwTyped(std::int32_t code, const std::string& what) {

@@ -62,6 +62,11 @@ struct CapturedError {
 /// program point.
 void agreeOnError(Comm& comm, const CapturedError& local);
 
+/// agreeOnError without the throw: the same collective calls, returning the
+/// agreed outcome (code kNone when no rank failed) for callers that release
+/// resources before the error surfaces.
+CapturedError agreeOnOutcome(Comm& comm, const CapturedError& local);
+
 /// Rethrows the typed error for an agreed code. Exposed for layers that
 /// piggyback the code on an existing collective (the node-aggregation round
 /// loop) instead of paying agreeOnError's dedicated reduction.

@@ -525,6 +525,41 @@ void Comm::allgatherv(const void* mine, Bytes n,
   }
 }
 
+ExchangedBytes Comm::exchangeBytes(
+    const std::vector<std::vector<std::byte>>& per_dst) {
+  const auto sp = static_cast<std::size_t>(size());
+  TCIO_CHECK(per_dst.size() == sp);
+  // Step 1: one 8-byte count per peer.
+  std::vector<Bytes> scounts(sp, sizeof(Bytes)), rcounts(sp, sizeof(Bytes));
+  std::vector<Offset> sdispls(sp), rdispls(sp);
+  std::vector<Bytes> size_s(sp), size_r(sp);
+  for (std::size_t i = 0; i < sp; ++i) {
+    size_s[i] = static_cast<Bytes>(per_dst[i].size());
+    sdispls[i] = rdispls[i] = static_cast<Offset>(i * sizeof(Bytes));
+  }
+  alltoallv(size_s.data(), scounts, sdispls, size_r.data(), rcounts, rdispls);
+  // Step 2: the payload itself.
+  ExchangedBytes out;
+  out.counts = std::move(size_r);
+  out.displs.resize(sp);
+  Bytes send_total = 0, recv_total = 0;
+  for (std::size_t i = 0; i < sp; ++i) {
+    sdispls[i] = send_total;
+    send_total += size_s[i];
+    out.displs[i] = recv_total;
+    recv_total += out.counts[i];
+  }
+  std::vector<std::byte> sendbuf;
+  sendbuf.reserve(static_cast<std::size_t>(send_total));
+  for (const auto& v : per_dst) {
+    sendbuf.insert(sendbuf.end(), v.begin(), v.end());
+  }
+  out.data.resize(static_cast<std::size_t>(recv_total));
+  alltoallv(sendbuf.data(), size_s, sdispls, out.data.data(), out.counts,
+            out.displs);
+  return out;
+}
+
 void Comm::alltoallv(const void* sendbuf, std::span<const Bytes> sendcounts,
                      std::span<const Offset> senddispls, void* recvbuf,
                      std::span<const Bytes> recvcounts,

@@ -24,6 +24,14 @@ namespace tcio::mpi {
 
 enum class ReduceOp { kSum, kMax, kMin, kBitOr };
 
+/// What Comm::exchangeBytes delivered: every source's bytes back to back,
+/// with each source's count and starting displacement within `data`.
+struct ExchangedBytes {
+  std::vector<std::byte> data;
+  std::vector<Bytes> counts;   // per source
+  std::vector<Offset> displs;  // per source
+};
+
 /// One rank's handle on a communicator. The constructor builds COMM_WORLD;
 /// `split` derives sub-communicators (MPI_Comm_split semantics). Cheap to
 /// pass by reference through the I/O stack.
@@ -158,6 +166,12 @@ class Comm {
                  std::span<const Offset> senddispls, void* recvbuf,
                  std::span<const Bytes> recvcounts,
                  std::span<const Offset> recvdispls);
+
+  /// Variable-size all-to-all over per-destination byte vectors (one per
+  /// rank): one alltoallv exchanges the byte counts, a second moves the
+  /// payload — the two-phase exchange recipe of Thakur, Gropp and Lusk.
+  ExchangedBytes exchangeBytes(
+      const std::vector<std::vector<std::byte>>& per_dst);
 
   /// Checker hook: records and cross-verifies this rank's next collective
   /// call on this communicator (see check/checker.h). Public so sibling

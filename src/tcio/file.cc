@@ -23,9 +23,30 @@ struct BlockMeta {
   std::uint32_t has_crc = 0;  // 1 = `crc` is valid; read requests carry none
 };
 
+/// Owned segments the background scrubber re-verifies per collective call.
+constexpr std::int64_t kScrubPerCollective = 2;
+
 void appendBytes(std::vector<std::byte>& out, const void* src, std::size_t n) {
   const auto* p = static_cast<const std::byte*>(src);
   out.insert(out.end(), p, p + n);
+}
+
+/// Runs rank-local work whose failure must reach the next agreement point,
+/// capturing it into `err`. This is the one place that decides which errors
+/// are agreed: a fail-stop crash keeps unwinding the dead rank (survivors
+/// learn of it from liveness), and a checker verdict aborts the job typed
+/// instead of being agreed and retyped. Everything else is captured.
+template <class Fn>
+void captureLocal(mpi::CapturedError& err, Fn&& fn) {
+  try {
+    fn();
+  } catch (const RankCrashedError&) {
+    throw;
+  } catch (const check::CheckFailure&) {
+    throw;
+  } catch (const std::exception& e) {
+    err.capture(e);
+  }
 }
 }  // namespace
 
@@ -64,19 +85,13 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
   // rank 0 must never abandon peers already waiting inside the barrier.
   mpi::CapturedError open_err;
   if (comm_->rank() == 0) {
-    try {
-      fsfile_ = client_.open(name_, flags_);
-    } catch (const std::exception& e) {
-      open_err.capture(e);
-    }
+    captureLocal(open_err, [&] { fsfile_ = client_.open(name_, flags_); });
   }
   comm_->barrier();
   if (comm_->rank() != 0) {
-    try {
+    captureLocal(open_err, [&] {
       fsfile_ = client_.open(name_, flags_ & ~(fs::kCreate | fs::kTruncate));
-    } catch (const std::exception& e) {
-      open_err.capture(e);
-    }
+    });
   }
   mpi::agreeOnError(*comm_, open_err);
   if (cfg_.crash.enabled) {
@@ -87,12 +102,10 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
     crash_plan_ = std::make_unique<CrashPlan>(cfg_.faults, orig_rank_);
     mpi::CapturedError jerr;
     if (cfg_.crash.journal) {
-      try {
+      captureLocal(jerr, [&] {
         journal_ =
             std::make_unique<Journal>(client_, journalPath(name_, orig_rank_));
-      } catch (const std::exception& e) {
-        jerr.capture(e);
-      }
+      });
     }
     mpi::agreeOnError(*comm_, jerr);
     int base = 0;
@@ -115,26 +128,15 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
   corruption_ = std::make_unique<CorruptionPlan>(cfg_.faults, orig_rank_);
   if (!cfg_.crash.enabled && integrity_on_ && (flags_ & fs::kWrite) != 0) {
     mpi::CapturedError jerr;
-    try {
+    captureLocal(jerr, [&] {
       journal_ =
           std::make_unique<Journal>(client_, journalPath(name_, orig_rank_));
-    } catch (const std::exception& e) {
-      jerr.capture(e);
-    }
+    });
     mpi::agreeOnError(*comm_, jerr);
   }
   window_ = std::make_unique<mpi::Window>(mpi::Window::create(
       *comm_, flags_region_ + slotCount() * cfg_.segment_size));
-  if (cfg_.node_aggregation) {
-    node_map_ = std::make_unique<topo::NodeMap>(*comm_);
-    Bytes slot = cfg_.node_agg_slot_bytes;
-    if (slot == 0) {
-      slot = static_cast<Bytes>(node_map_->maxNodeSize()) * cfg_.segment_size +
-             4096;
-    }
-    node_agg_ = std::make_unique<topo::NodeAggregator>(
-        *node_map_, slot, cfg_.node_agg_rotate_leaders);
-  }
+  if (cfg_.node_aggregation) buildNodeAggregation();
   comm_->memory().allocate(cfg_.segment_size, "TCIO level-1 buffer");
   if (check::Checker* ck = comm_->world().checker()) {
     comm_->proc().atomic([&] {
@@ -453,45 +455,9 @@ void File::collectiveFetch() {
   ++stats_.collective_fetches;
   maybeCorruptWindow();
   const SimTime fetch_begin = comm_->proc().now();
-  if (cfg_.crash.enabled) {
-    // Liveness first: a peer that died since the last collective (or dies in
-    // its own residue flush right here) must be agreed dead — and its
-    // segments taken over — before any plain collective below is entered,
-    // or the survivors hang in it. The residue flush carries crash points
-    // (kMidJournal/kMidRma); a rank killed by one unwinds, uncaptured.
-    mpi::CapturedError err;
-    try {
-      flushLevel1();
-    } catch (const RankCrashedError&) {
-      throw;
-    } catch (const check::CheckFailure&) {
-      throw;  // checker verdicts abort the job typed, never agreed-and-retyped
-    } catch (const std::exception& e) {
-      err.capture(e);
-    }
-    collectiveAgreeOnError(err);
-    if (cfg_.node_aggregation) {
-      nodeExchangeStagedWrites();
-    } else if (twoSidedExchange()) {
-      exchangeStagedWrites();
-    }
-  } else if (cfg_.node_aggregation) {
-    nodeExchangeStagedWrites();
-  } else if (twoSidedExchange()) {
-    exchangeStagedWrites();
-  } else {
-    // One-sided flush is local + RMA only: capture and agree so a fault on
-    // one rank cannot strand its peers in the bitmap allreduce below.
-    mpi::CapturedError err;
-    try {
-      flushLevel1();
-    } catch (const check::CheckFailure&) {
-      throw;  // checker verdicts abort the job typed, never agreed-and-retyped
-    } catch (const std::exception& e) {
-      err.capture(e);
-    }
-    collectiveAgreeOnError(err);
-  }
+  mpi::CapturedError err;
+  flushAndAgree(err, nullptr);
+  exchangeStaged(err);
   // Every writer's pending digests reach the segment owners before any data
   // is served below (an allgatherv — collectively aligned: integrity is
   // uniform across ranks, and in crash mode the agreement above already
@@ -527,7 +493,7 @@ void File::collectiveFetch() {
     });
   }
   mpi::CapturedError load_err;
-  try {
+  captureLocal(load_err, [&] {
     const Bytes fsize = client_.size(fsfile_);
     std::byte* local_win = window_->localData();
     for (const auto& [g, slot] : ownedSlots()) {
@@ -558,9 +524,7 @@ void File::collectiveFetch() {
         }
       }
     }
-  } catch (const std::exception& e) {
-    load_err.capture(e);
-  }
+  });
   comm_->barrier();
   collectiveAgreeOnError(load_err);
   std::byte* local = window_->localData();
@@ -580,50 +544,17 @@ void File::collectiveFetch() {
       const auto* raw = reinterpret_cast<const std::byte*>(&m);
       req_meta[owner].insert(req_meta[owner].end(), raw, raw + sizeof(m));
     }
-    const auto exchangeBuffers =
-        [&](const std::vector<std::vector<std::byte>>& per_dst,
-            std::vector<Bytes>& rcounts, std::vector<Offset>& rdispls) {
-          const auto sp = static_cast<std::size_t>(P);
-          std::vector<Bytes> scnt(sp), szs(sp), szr(sp), c8(sp, 8);
-          std::vector<Offset> sdsp(sp), d8(sp);
-          for (std::size_t i = 0; i < sp; ++i) {
-            szs[i] = static_cast<Bytes>(per_dst[i].size());
-            d8[i] = static_cast<Offset>(i * 8);
-          }
-          comm_->alltoallv(szs.data(), c8, d8, szr.data(), c8, d8);
-          Bytes stot = 0, rtot = 0;
-          std::vector<std::byte> sendbuf;
-          rcounts.assign(sp, 0);
-          rdispls.assign(sp, 0);
-          for (std::size_t i = 0; i < sp; ++i) {
-            scnt[i] = szs[i];
-            sdsp[i] = stot;
-            stot += szs[i];
-            rcounts[i] = szr[i];
-            rdispls[i] = rtot;
-            rtot += szr[i];
-          }
-          for (const auto& v : per_dst) {
-            sendbuf.insert(sendbuf.end(), v.begin(), v.end());
-          }
-          std::vector<std::byte> recv(static_cast<std::size_t>(rtot));
-          comm_->alltoallv(sendbuf.data(), scnt, sdsp, recv.data(), rcounts,
-                           rdispls);
-          return recv;
-        };
-    std::vector<Bytes> mcounts;
-    std::vector<Offset> mdispls;
-    const std::vector<std::byte> got_meta =
-        exchangeBuffers(req_meta, mcounts, mdispls);
+    const mpi::ExchangedBytes got_meta = comm_->exchangeBytes(req_meta);
     // Answer each requester from the local window.
     std::vector<std::vector<std::byte>> replies(static_cast<std::size_t>(P));
     std::set<SegmentId> served_segs;
     for (int src = 0; src < P; ++src) {
       const auto s = static_cast<std::size_t>(src);
       const auto* blocks =
-          reinterpret_cast<const BlockMeta*>(got_meta.data() + mdispls[s]);
+          reinterpret_cast<const BlockMeta*>(got_meta.data.data() +
+                                             got_meta.displs[s]);
       const std::size_t nb =
-          static_cast<std::size_t>(mcounts[s]) / sizeof(BlockMeta);
+          static_cast<std::size_t>(got_meta.counts[s]) / sizeof(BlockMeta);
       for (std::size_t i = 0; i < nb; ++i) {
         const SegmentId g = map_.segmentOf(blocks[i].off);
         const std::byte* from =
@@ -642,20 +573,17 @@ void File::collectiveFetch() {
         }
       });
     }
-    std::vector<Bytes> rcounts;
-    std::vector<Offset> rdispls;
-    const std::vector<std::byte> payload =
-        exchangeBuffers(replies, rcounts, rdispls);
+    const mpi::ExchangedBytes payload = comm_->exchangeBytes(replies);
     // Scatter: replies from each owner arrive in my request order.
-    std::vector<Offset> cursor(rdispls.begin(), rdispls.end());
+    std::vector<Offset> cursor = payload.displs;
     for (const PendingRead& r : pending_reads_) {
       const auto owner =
           static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(r.off))));
-      std::memcpy(r.dst, payload.data() + cursor[owner],
+      std::memcpy(r.dst, payload.data.data() + cursor[owner],
                   static_cast<std::size_t>(r.len));
       cursor[owner] += r.len;
     }
-    comm_->chargeCopy(static_cast<Bytes>(payload.size()));
+    comm_->chargeCopy(static_cast<Bytes>(payload.data.size()));
   }
   if (comm_->world().trace().enabled()) {
     sim::Proc& p = comm_->proc();
@@ -693,65 +621,14 @@ void File::flush() {
   check::ScopedUserTag tag(comm_->world().checker(), comm_->proc().rank(),
                            flush_calls_++);
   maybeCorruptWindow();
-  if (cfg_.crash.enabled) {
-    crashPoint(CrashPoint::kAtCollective);
-    // Crash-tolerant ordering: the level-1 flush (journal + RMA/stage, all
-    // local work with crash points inside) runs first, then the liveness
-    // agreement detects any rank that died at or before this collective and
-    // shrinks around it — only then is a plain collective safe to enter.
-    mpi::CapturedError err;
-    try {
-      flushLevel1();
-    } catch (const RankCrashedError&) {
-      throw;
-    } catch (const check::CheckFailure&) {
-      throw;  // checker verdicts abort the job typed, never agreed-and-retyped
-    } catch (const std::exception& e) {
-      err.capture(e);
-    }
-    collectiveAgreeOnError(err);
-    maybeFallBackToTwoSided();
-    if (cfg_.node_aggregation) {
-      nodeExchangeStagedWrites();
-    } else if (twoSidedExchange()) {
-      exchangeStagedWrites();
-    }
-    if (integrity_on_) {
-      exchangeDigests();
-      mpi::CapturedError ierr;
-      scrubTick(ierr);
-      collectiveAgreeOnError(ierr);
-    }
-    comm_->barrier();
-    syncRecoveryStats();
-    return;
-  }
-  maybeFallBackToTwoSided();
-  if (cfg_.node_aggregation) {
-    nodeExchangeStagedWrites();
-  } else if (twoSidedExchange()) {
-    exchangeStagedWrites();
-  } else {
-    // One-sided flush is local + RMA only: capture and agree so a faulted
-    // rank cannot strand its peers in the barrier below.
-    mpi::CapturedError err;
-    try {
-      flushLevel1();
-    } catch (const check::CheckFailure&) {
-      throw;  // checker verdicts abort the job typed, never agreed-and-retyped
-    } catch (const std::exception& e) {
-      err.capture(e);
-    }
-    collectiveAgreeOnError(err);
-  }
-  if (integrity_on_) {
-    // Digests from this flush reach their owners, then the background
-    // scrubber spends its per-collective budget re-verifying owned segments.
-    exchangeDigests();
-    mpi::CapturedError ierr;
-    scrubTick(ierr);
-    collectiveAgreeOnError(ierr);
-  }
+  crashPoint(CrashPoint::kAtCollective);
+  mpi::CapturedError err;
+  flushAndAgree(err, nullptr);
+  exchangeStaged(err);
+  // Digests from this flush reach their owners, then the background scrubber
+  // spends its per-collective budget re-verifying owned segments.
+  exchangeDigests();
+  scrubTick();
   comm_->barrier();  // tcio_flush is collective (paper §IV.B)
   syncRecoveryStats();
 }
@@ -760,33 +637,41 @@ void File::fetch() {
   TCIO_CHECK_MSG(open_, "fetch on closed TCIO file");
   check::ScopedLabel phase(comm_->world().checker(), comm_->proc().rank(),
                            "File::fetch");
-  if (cfg_.crash.enabled) {
-    crashPoint(CrashPoint::kAtCollective);
-    // collectiveFetch leads with its own liveness round; the fallback
-    // allreduce must come after that detection, so it lives inside the
-    // crash-aware fetch path only for the legacy ordering below.
-    collectiveFetch();
-    maybeFallBackToTwoSided();
-    if (integrity_on_) {
-      mpi::CapturedError ierr;
-      scrubTick(ierr);
-      collectiveAgreeOnError(ierr);
-    }
-    syncRecoveryStats();
-    return;
-  }
-  maybeFallBackToTwoSided();
+  crashPoint(CrashPoint::kAtCollective);
   collectiveFetch();
-  if (integrity_on_) {
-    mpi::CapturedError ierr;
-    scrubTick(ierr);
-    collectiveAgreeOnError(ierr);
-  }
+  scrubTick();
   syncRecoveryStats();
 }
 
-void File::exchangeStagedWrites() {
-  flushLevel1();  // move any level-1 residue into the staging area
+void File::flushAndAgree(mpi::CapturedError& err,
+                         mpi::CapturedError* verdict) {
+  // The residue flush carries crash points (kMidJournal/kMidRma); a rank
+  // killed by one unwinds, uncaptured.
+  captureLocal(err, [&] { flushLevel1(); });
+  const bool staged = cfg_.node_aggregation || twoSidedExchange();
+  if (cfg_.crash.enabled || (!staged && verdict == nullptr)) {
+    if (verdict != nullptr) {
+      agreeAndRecover(std::exchange(err, {}), *verdict);
+    } else {
+      collectiveAgreeOnError(std::exchange(err, {}));
+    }
+  }
+  // close() of a readable file decides in the collectiveFetch() that follows
+  // (the verdict is agreed, so every rank takes the same branch).
+  const bool fetch_follows =
+      verdict != nullptr && !verdict->set() && (flags_ & fs::kRead) != 0;
+  if (!fetch_follows) maybeFallBackToTwoSided();
+}
+
+void File::exchangeStaged(mpi::CapturedError& err) {
+  if (cfg_.node_aggregation) {
+    nodeExchangeStagedWrites(std::exchange(err, {}));
+  } else if (twoSidedExchange()) {
+    exchangeStagedWrites(std::exchange(err, {}));
+  }
+}
+
+void File::exchangeStagedWrites(mpi::CapturedError err) {
   if (fallback_two_sided_) ++stats_.degraded.fallback_exchanges;
   const int P = comm_->size();
   const auto sp = static_cast<std::size_t>(P);
@@ -804,54 +689,21 @@ void File::exchangeStagedWrites() {
     meta[owner].insert(meta[owner].end(), raw, raw + sizeof(m));
     payload[owner].insert(payload[owner].end(), bytes.begin(), bytes.end());
   }
-  auto exchange = [&](const std::vector<std::vector<std::byte>>& per_dst,
-                      std::vector<Bytes>& rcounts,
-                      std::vector<Offset>& rdispls) {
-    std::vector<Bytes> scnt(sp), szs(sp), szr(sp), c8(sp, 8);
-    std::vector<Offset> sdsp(sp), d8(sp);
-    for (std::size_t i = 0; i < sp; ++i) {
-      szs[i] = static_cast<Bytes>(per_dst[i].size());
-      d8[i] = static_cast<Offset>(i * 8);
-    }
-    comm_->alltoallv(szs.data(), c8, d8, szr.data(), c8, d8);
-    Bytes stot = 0, rtot = 0;
-    std::vector<std::byte> sendbuf;
-    rcounts.assign(sp, 0);
-    rdispls.assign(sp, 0);
-    for (std::size_t i = 0; i < sp; ++i) {
-      scnt[i] = szs[i];
-      sdsp[i] = stot;
-      stot += szs[i];
-      rcounts[i] = szr[i];
-      rdispls[i] = rtot;
-      rtot += szr[i];
-    }
-    for (const auto& v : per_dst) {
-      sendbuf.insert(sendbuf.end(), v.begin(), v.end());
-    }
-    std::vector<std::byte> recv(static_cast<std::size_t>(rtot));
-    comm_->alltoallv(sendbuf.data(), scnt, sdsp, recv.data(), rcounts,
-                     rdispls);
-    return recv;
-  };
-  std::vector<Bytes> mcnt, pcnt;
-  std::vector<Offset> mdsp, pdsp;
-  const auto got_meta = exchange(meta, mcnt, mdsp);
-  const auto got_payload = exchange(payload, pcnt, pdsp);
+  const mpi::ExchangedBytes got_meta = comm_->exchangeBytes(meta);
+  const mpi::ExchangedBytes got_payload = comm_->exchangeBytes(payload);
   // Apply received blocks into the local window. Purely local work: capture
   // and agree (the segment-exchange agreement point) so a corrupt frame on
   // one rank surfaces on all of them instead of desynchronizing the job.
-  mpi::CapturedError err;
-  try {
+  captureLocal(err, [&] {
     std::byte* local = window_->localData();
     std::set<SegmentId> applied_segs;
     for (int src = 0; src < P; ++src) {
       const auto s = static_cast<std::size_t>(src);
-      const auto* blocks =
-          reinterpret_cast<const BlockMeta*>(got_meta.data() + mdsp[s]);
+      const auto* blocks = reinterpret_cast<const BlockMeta*>(
+          got_meta.data.data() + got_meta.displs[s]);
       const std::size_t nb =
-          static_cast<std::size_t>(mcnt[s]) / sizeof(BlockMeta);
-      const std::byte* from = got_payload.data() + pdsp[s];
+          static_cast<std::size_t>(got_meta.counts[s]) / sizeof(BlockMeta);
+      const std::byte* from = got_payload.data.data() + got_payload.displs[s];
       for (std::size_t i = 0; i < nb; ++i) {
         const SegmentId g = map_.segmentOf(blocks[i].off);
         const std::int64_t slot = slotOnOwner(g);
@@ -884,20 +736,15 @@ void File::exchangeStagedWrites() {
         }
       });
     }
-    comm_->chargeCopy(static_cast<Bytes>(got_payload.size()));
-  } catch (const check::CheckFailure&) {
-    throw;  // checker verdicts abort the job typed, never agreed-and-retyped
-  } catch (const std::exception& e) {
-    err.capture(e);
-  }
+    comm_->chargeCopy(static_cast<Bytes>(got_payload.data.size()));
+  });
   comm_->memory().release(staged_bytes_);
   staged_.clear();
   staged_bytes_ = 0;
   collectiveAgreeOnError(err);
 }
 
-void File::nodeExchangeStagedWrites() {
-  flushLevel1();  // move any level-1 residue into the staging area
+void File::nodeExchangeStagedWrites(mpi::CapturedError err) {
   ++stats_.node_exchanges;
   const int N = node_map_->numNodes();
   // Stage records addressed to the *node* hosting each block's owner:
@@ -996,8 +843,7 @@ void File::nodeExchangeStagedWrites() {
   // windows — membus epochs, one per owner. Leader-local work: capture and
   // agree after the barrier below so a leader-side fault becomes the same
   // typed error on every rank instead of a wedged job.
-  mpi::CapturedError err;
-  try {
+  captureLocal(err, [&] {
     if (node_agg_->isActiveLeader()) {
       std::map<Rank, std::vector<mpi::Window::PutBlock>> by_owner;
       std::map<Rank, std::set<std::int64_t>> flagged;
@@ -1057,11 +903,7 @@ void File::nodeExchangeStagedWrites() {
       }
       stats_.intranode_bytes += applied;
     }
-  } catch (const check::CheckFailure&) {
-    throw;  // checker verdicts abort the job typed, never agreed-and-retyped
-  } catch (const std::exception& e) {
-    err.capture(e);
-  }
+  });
   // The apply epochs above must land before any rank inspects or drains its
   // window (owner loads in collectiveFetch, drainToFs at close).
   comm_->barrier();
@@ -1233,76 +1075,24 @@ void File::close() {
   // longer at a matching program point).
   open_ = false;
   maybeCorruptWindow();
-  // Deferred agreed outcome: with crash tolerance the agreement points
-  // return their verdict instead of throwing, so resources are released and
-  // the handle closed before the error finally surfaces.
-  std::int32_t agreed_code = mpi::CapturedError::kNone;
-  std::string agreed_what;
-  const auto accumulate = [&](std::int32_t code, const std::string& what) {
-    if (code != mpi::CapturedError::kNone &&
-        (agreed_code == mpi::CapturedError::kNone || code > agreed_code)) {
-      agreed_code = code;
-      agreed_what = what;
-    }
-  };
+  crashPoint(CrashPoint::kAtCollective);
+  // Deferred agreed outcome: close's agreement points fold their verdict
+  // here instead of throwing, so resources are released and the handle
+  // closed before the error finally surfaces. A verdict is agreed, so
+  // branching on it keeps every live rank in lockstep; `err` may differ
+  // across ranks and gates only local work (or feeds an agreement).
+  mpi::CapturedError verdict;
   mpi::CapturedError err;
-  if (cfg_.crash.enabled) {
-    crashPoint(CrashPoint::kAtCollective);
-    // Detection round before any plain collective: peers that died since the
-    // last collective point (or die in this residue flush) are agreed dead,
-    // the communicator shrinks, and their segments are adopted + replayed.
-    try {
-      flushLevel1();
-    } catch (const RankCrashedError&) {
-      throw;
-    } catch (const check::CheckFailure&) {
-      throw;  // checker verdicts abort the job typed, never agreed-and-retyped
-    } catch (const std::exception& e) {
-      err.capture(e);
-    }
-    auto [code, what] = agreeAndRecover(err);
-    accumulate(code, what);
-    err = {};
+  flushAndAgree(err, &verdict);
+  if ((flags_ & fs::kRead) != 0 && !verdict.set()) {
+    captureLocal(err, [&] { collectiveFetch(); });  // pending lazy reads
   }
-  maybeFallBackToTwoSided();
-  // Every agreement point below throws the *same* typed error on *all*
-  // ranks, so catching locally and continuing the close sequence keeps the
-  // ranks in lockstep.
-  if ((flags_ & fs::kRead) != 0 && agreed_code == mpi::CapturedError::kNone) {
-    try {
-      collectiveFetch();  // resolve any pending lazy reads
-    } catch (const RankCrashedError&) {
-      throw;
-    } catch (const check::CheckFailure&) {
-      throw;  // checker verdicts abort the job typed, never agreed-and-retyped
-    } catch (const std::exception& e) {
-      err.capture(e);
-    }
-  }
-  if (!err.set() && agreed_code == mpi::CapturedError::kNone) {
-    try {
-      if (cfg_.node_aggregation) {
-        nodeExchangeStagedWrites();
-      } else if (twoSidedExchange()) {
-        exchangeStagedWrites();
-      } else if (!cfg_.crash.enabled) {
-        flushLevel1();  // local + RMA only; agreement happens below
-      }
-      // (crash mode already flushed the residue in the detection round)
-    } catch (const RankCrashedError&) {
-      throw;
-    } catch (const check::CheckFailure&) {
-      throw;  // checker verdicts abort the job typed, never agreed-and-retyped
-    } catch (const std::exception& e) {
-      err.capture(e);
-    }
-  }
+  // Staged writes move after the reads resolve; their exchange agrees any
+  // failure still pending in `err`.
+  if (!verdict.set()) captureLocal(err, [&] { exchangeStaged(err); });
   // The final exchange's digests reach their owners before the close-time
-  // scrub below (aligned: agreed_code is collectively agreed, so every live
-  // rank takes the same branch).
-  if (integrity_on_ && agreed_code == mpi::CapturedError::kNone) {
-    exchangeDigests();
-  }
+  // scrub below.
+  if (!verdict.set()) exchangeDigests();
   // Aggregate file size across ranks (pre-existing contents included).
   // Journal replays above fold a dead rank's extents into the survivors'
   // local_max_written_, so its tail still counts toward the agreed size.
@@ -1310,18 +1100,16 @@ void File::close() {
   comm_->allreduce(&fsize, 1, mpi::ReduceOp::kMax);
   comm_->barrier();  // paper: synchronize before draining level-2
   final_fsize_ = fsize;
-  // Drain under collective error agreement: a rank whose file-system writes
-  // fail must not leave its peers blocked in the closing collectives, and a
-  // rank whose own writes succeeded must still learn the file is damaged.
   // The drain is purely local, so skipping it on an already-failed rank (or
-  // failing on some ranks only) cannot desynchronize the collectives.
-  if (!err.set() && agreed_code == mpi::CapturedError::kNone &&
-      (flags_ & fs::kWrite) != 0) {
-    try {
+  // failing on some ranks only) cannot desynchronize the collectives; the
+  // agreement below still tells a rank whose own writes succeeded that the
+  // file is damaged.
+  if (!err.set() && !verdict.set() && (flags_ & fs::kWrite) != 0) {
+    captureLocal(err, [&] {
       // Close-time scrub: every owned, digested segment is verified once
       // more while the journal still exists to repair it — the drain below
       // is the last hop before the bytes become the file's truth.
-      if (integrity_on_ && cfg_.integrity.scrub_at_close) {
+      if (integrity_on_) {
         ++stats_.integrity.scrub_passes;
         for (const auto& [g, slot] : ownedSlots()) {
           if (ledger_.find(g) != ledger_.end()) {
@@ -1331,76 +1119,32 @@ void File::close() {
         }
       }
       drainToFs(fsize);
-    } catch (const RankCrashedError&) {
-      throw;
-    } catch (const check::CheckFailure&) {
-      throw;  // checker verdicts abort the job typed, never agreed-and-retyped
-    } catch (const std::exception& e) {
-      err.capture(e);
-    }
+    });
   }
   drained_ = true;
-  if (cfg_.crash.enabled) {
-    // Post-drain agreement: a rank that died mid-drain (kMidClose) left some
-    // of its dirty segments unwritten. agreeAndRecover loops until the dead
-    // set stops growing; survivors reconstruct the orphaned segments from
-    // the journals and write them directly to the file.
-    auto [code, what] = agreeAndRecover(err);
-    accumulate(code, what);
-    err = {};
-    // Commit: every journaled byte is durably in the file proper. On an
-    // agreed failure the journal is left intact — the bytes it holds are
-    // exactly what the damaged file may be missing.
-    if (journal_ && agreed_code == mpi::CapturedError::kNone) {
-      try {
-        journal_->commit();
-      } catch (const std::exception& e) {
-        err.capture(e);
-      }
-    }
-    // The commit is an MDS op pair and can fault; one more aligned round.
-    auto [code2, what2] = agreeAndRecover(err);
-    accumulate(code2, what2);
-    err = {};
-    journal_.reset();
-  } else if (journal_ != nullptr) {
-    // Integrity-only journaling: after a clean drain every journaled byte is
-    // durably in the file proper, so the log is truncated. On a failure path
-    // the journal stays — its frames are the only clean copy of the bytes
-    // the damaged file may be missing.
-    if (!err.set() && agreed_code == mpi::CapturedError::kNone) {
-      try {
-        journal_->commit();
-      } catch (const std::exception& e) {
-        err.capture(e);
-      }
-    }
-    journal_.reset();
+  // Post-drain round (crash tolerance only): a rank that died mid-drain
+  // (kMidClose) left some of its dirty segments unwritten; survivors
+  // reconstruct them from the journals and write them directly to the file.
+  if (cfg_.crash.enabled) agreeAndRecover(std::exchange(err, {}), verdict);
+  // Commit: every journaled byte is durably in the file proper, so the log
+  // is truncated. On a failure path the journal stays — its frames are the
+  // only clean copy of the bytes the damaged file may be missing.
+  if (journal_ != nullptr && !err.set() && !verdict.set()) {
+    captureLocal(err, [&] { journal_->commit(); });
   }
-  try {
-    client_.close(fsfile_);
-  } catch (const std::exception& e) {
-    err.capture(e);
-  }
+  // The commit is an MDS op pair and can fault; one more aligned round.
+  if (cfg_.crash.enabled) agreeAndRecover(std::exchange(err, {}), verdict);
+  journal_.reset();
+  captureLocal(err, [&] { client_.close(fsfile_); });
   if (node_agg_ != nullptr) node_agg_->close();
   comm_->memory().release(cfg_.segment_size);  // level-1 buffer
   comm_->memory().release(window_->localSize());
   window_.reset();
   syncRecoveryStats();
-  if (cfg_.crash.enabled) {
-    auto [code, what] = agreeAndRecover(err);
-    accumulate(code, what);
-    if (agreed_code != mpi::CapturedError::kNone) {
-      noteSessionAborted();
-      mpi::throwTyped(agreed_code, agreed_what);
-    }
-  } else {
-    try {
-      collectiveAgreeOnError(err);
-    } catch (...) {
-      noteSessionAborted();
-      throw;
-    }
+  agreeAndRecover(std::move(err), verdict);
+  if (verdict.set()) {
+    noteSessionAborted();
+    mpi::throwTyped(verdict.code, verdict.what);
   }
   if (check::Checker* ck = comm_->world().checker()) {
     // Clean collective close: the last live rank to get here triggers the
@@ -1430,8 +1174,9 @@ void File::drainToFs(Bytes file_size) {
 // -- Fault recovery -----------------------------------------------------------
 
 void File::collectiveAgreeOnError(const mpi::CapturedError& err) {
-  auto [code, what] = agreeAndRecover(err);
-  if (code != mpi::CapturedError::kNone) mpi::throwTyped(code, what);
+  mpi::CapturedError verdict;
+  agreeAndRecover(err, verdict);
+  if (verdict.set()) mpi::throwTyped(verdict.code, verdict.what);
 }
 
 // -- Fail-stop crash tolerance ------------------------------------------------
@@ -1537,14 +1282,15 @@ void File::journalExtents(SegmentId seg, const std::vector<Extent>& extents) {
   journal_->batchEnd();
 }
 
-std::pair<std::int32_t, std::string> File::agreeAndRecover(
-    mpi::CapturedError err) {
+void File::agreeAndRecover(mpi::CapturedError err,
+                           mpi::CapturedError& verdict) {
+  const auto fold = [&](const mpi::CapturedError& agreed) {
+    if (agreed.code > verdict.code) verdict = agreed;
+  };
   if (!cfg_.crash.enabled) {
-    mpi::agreeOnError(*comm_, err);  // throws on any agreed error
-    return {mpi::CapturedError::kNone, std::string()};
+    fold(mpi::agreeOnOutcome(*comm_, err));
+    return;
   }
-  std::int32_t code = mpi::CapturedError::kNone;
-  std::string what;
   // Epochs loop until the dead set stops growing: recovering from one batch
   // of deaths (journal reads, file writes) can itself fail, and the verdict
   // for that failure must again be collective.
@@ -1562,22 +1308,10 @@ std::pair<std::int32_t, std::string> File::agreeAndRecover(
               " self-fenced: declared dead by liveness agreement",
           orig_rank_);
     }
-    if (out.code != mpi::CapturedError::kNone &&
-        (code == mpi::CapturedError::kNone || out.code > code)) {
-      code = out.code;
-      what = out.what;
-    }
-    if (out.dead.empty()) return {code, what};
+    fold({out.code, out.what});
+    if (out.dead.empty()) return;
     err = {};
-    try {
-      handleDeaths(out.dead);
-    } catch (const RankCrashedError&) {
-      throw;
-    } catch (const check::CheckFailure&) {
-      throw;  // checker verdicts abort the job typed, never agreed-and-retyped
-    } catch (const std::exception& e) {
-      err.capture(e);
-    }
+    captureLocal(err, [&] { handleDeaths(out.dead); });
   }
 }
 
@@ -1704,21 +1438,23 @@ void File::handleDeaths(const std::vector<Rank>& dead_cur) {
   if (cfg_.node_aggregation) {
     node_agg_->close();
     node_agg_.reset();
-    node_map_ = std::make_unique<topo::NodeMap>(*comm_);
-    Bytes slot_bytes = cfg_.node_agg_slot_bytes;
-    if (slot_bytes == 0) {
-      slot_bytes =
-          static_cast<Bytes>(node_map_->maxNodeSize()) * cfg_.segment_size +
-          4096;
-    }
-    node_agg_ = std::make_unique<topo::NodeAggregator>(
-        *node_map_, slot_bytes, cfg_.node_agg_rotate_leaders);
+    buildNodeAggregation();
   }
   // 5) Replay: the new owner reconstructs each adopted segment from the
   //    journals. A dead rank's window memory is *never* read — a real
   //    crashed process takes its memory with it; the journals are the only
   //    durable copy of bytes that were still buffered.
   if (!mine.empty()) replayOrphans(mine);
+}
+
+void File::buildNodeAggregation() {
+  node_map_ = std::make_unique<topo::NodeMap>(*comm_);
+  // One full segment per node-local rank per round, plus header slack; the
+  // leadership rotates so no single rank's NIC carries its node's traffic.
+  const Bytes slot =
+      static_cast<Bytes>(node_map_->maxNodeSize()) * cfg_.segment_size + 4096;
+  node_agg_ = std::make_unique<topo::NodeAggregator>(*node_map_, slot,
+                                                     /*rotate_leaders=*/true);
 }
 
 void File::replayOrphans(
@@ -1776,8 +1512,9 @@ void File::replayOrphans(
           // The adopted segment joins this rank's checksum domain: the dead
           // owner's ledger died with it, so rebuild digests from the clean
           // journal payloads just replayed.
-          ledgerInsert(g, rec.disp, static_cast<Bytes>(rec.payload.size()), 0,
-                       1, crc32(rec.payload));
+          ledger_[g].insert({rec.disp,
+                             static_cast<std::uint32_t>(rec.payload.size()), 0,
+                             1, crc32(rec.payload)});
         }
         any = true;
         ++stats_.degraded.journal_records_replayed;
@@ -1836,40 +1573,19 @@ void File::digestLevel1(SegmentId seg, const std::vector<Extent>& extents) {
   // interleaved patterns (Fig. 5) would otherwise ship a 32-byte record for
   // every 4-byte element — more digest than data on the NIC.
   Bytes total = 0;
-  DigestRec run;
+  DigestRec rec;
   bool open = false;
   for (const Extent& e : extents) {
     const std::span<const std::byte> bytes{
         level1_.data() + e.begin, static_cast<std::size_t>(e.size())};
     total += e.size();
-    if (open && run.count == 1 && run.stride == 0 &&
-        e.begin == run.disp + static_cast<Offset>(run.len)) {
-      run.len += static_cast<std::uint32_t>(e.size());
-      run.crc = crc32(bytes, run.crc);
-      continue;
-    }
-    if (open && e.size() == static_cast<Bytes>(run.len)) {
-      if (run.count == 1 && e.begin > run.disp &&
-          e.begin - run.disp <= 0xffffffff) {
-        run.stride = static_cast<std::uint32_t>(e.begin - run.disp);
-        run.count = 2;
-        run.crc = crc32(bytes, run.crc);
-        continue;
-      }
-      if (run.count >= 2 &&
-          e.begin == run.disp + static_cast<Offset>(run.stride) *
-                                    static_cast<Offset>(run.count)) {
-        ++run.count;
-        run.crc = crc32(bytes, run.crc);
-        continue;
-      }
-    }
-    if (open) pending_digests_.push_back(run);
-    run = {seg, e.begin, static_cast<std::uint32_t>(e.size()), 0, 1,
-           crc32(bytes)};
+    if (open && rec.run.tryExtend(e.begin, bytes)) continue;
+    if (open) pending_digests_.push_back(rec);
+    rec = {seg, {e.begin, static_cast<std::uint32_t>(e.size()), 0, 1,
+                 crc32(bytes)}};
     open = true;
   }
-  if (open) pending_digests_.push_back(run);
+  if (open) pending_digests_.push_back(rec);
   chargeChecksum(total);
 }
 
@@ -1894,10 +1610,7 @@ void File::exchangeDigests() {
       const std::size_t n = blob.size() / sizeof(DigestRec);
       for (std::size_t i = 0; i < n; ++i) {
         if (ownerOf(recs[i].seg) == orig_rank_) {
-          ledgerInsert(recs[i].seg, recs[i].disp,
-                       static_cast<Bytes>(recs[i].len),
-                       static_cast<Offset>(recs[i].stride),
-                       static_cast<std::int64_t>(recs[i].count), recs[i].crc);
+          ledger_[recs[i].seg].insert(recs[i].run);
         }
       }
     }
@@ -1952,67 +1665,8 @@ void File::exchangeDigests() {
                    recvcounts, recvdispls);
   const auto* recs = reinterpret_cast<const DigestRec*>(recvbuf.data());
   for (std::size_t i = 0; i < recvbuf.size() / sizeof(DigestRec); ++i) {
-    ledgerInsert(recs[i].seg, recs[i].disp, static_cast<Bytes>(recs[i].len),
-                 static_cast<Offset>(recs[i].stride),
-                 static_cast<std::int64_t>(recs[i].count), recs[i].crc);
+    ledger_[recs[i].seg].insert(recs[i].run);
   }
-}
-
-namespace {
-
-/// True when any piece of run 1 intersects any piece of run 2 (two-pointer
-/// walk over the sorted piece starts).
-bool runsOverlap(Offset d1, Bytes l1, Offset s1, std::int64_t c1, Offset d2,
-                 Bytes l2, Offset s2, std::int64_t c2) {
-  std::int64_t i = 0;
-  std::int64_t j = 0;
-  while (i < c1 && j < c2) {
-    const Offset b1 = d1 + i * s1;
-    const Offset b2 = d2 + j * s2;
-    if (b1 < b2 + l2 && b2 < b1 + l1) return true;
-    if (b1 + l1 <= b2) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-void File::ledgerInsert(SegmentId seg, Offset disp, Bytes len, Offset stride,
-                        std::int64_t count, std::uint32_t crc) {
-  auto& entries = ledger_[seg];
-  // A new digest supersedes any older entry it actually touches — the same
-  // last-writer-wins order the byte-level puts resolved to in the window,
-  // and superseded WHOLE because a run's CRC is not splittable. Span overlap
-  // alone is not enough to evict: interleaved writers' strided runs cover
-  // interlocking spans whose pieces never intersect.
-  const Offset span_end = disp + (count - 1) * stride + len;
-  for (auto it = entries.begin(); it != entries.end();) {
-    const Offset b = it->first;
-    const LedgerEntry& e = it->second;
-    const Offset b_end = b + (e.count - 1) * e.stride + e.len;
-    if (b < span_end && disp < b_end &&
-        runsOverlap(disp, len, stride, count, b, e.len, e.stride, e.count)) {
-      it = entries.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  entries[disp] = {len, stride, count, crc};
-}
-
-std::uint32_t File::ledgerCrc(const std::byte* local, std::int64_t slot,
-                              Offset disp, const LedgerEntry& entry) const {
-  std::uint32_t c = 0;
-  for (std::int64_t k = 0; k < entry.count; ++k) {
-    c = crc32({local + dataDisp(slot, disp + k * entry.stride),
-               static_cast<std::size_t>(entry.len)},
-              c);
-  }
-  return c;
 }
 
 void File::verifySlot(SegmentId g, std::int64_t slot) {
@@ -2023,18 +1677,11 @@ void File::verifySlot(SegmentId g, std::int64_t slot) {
       local[flagsDisp(slot, kLoadedFlag)] == std::byte{0}) {
     return;  // not resident — nothing the ledger describes is in the window
   }
-  Bytes total = 0;
-  bool mismatch = false;
-  for (const auto& [disp, entry] : it->second) {
-    ++stats_.integrity.crc_checks;
-    total += entry.len * entry.count;
-    if (ledgerCrc(local, slot, disp, entry) != entry.crc) {
-      ++stats_.integrity.crc_mismatches;
-      mismatch = true;
-    }
-  }
-  chargeChecksum(total);
-  if (mismatch) repairSegment(g, slot);
+  const SegmentLedger::Tally t = it->second.verify(local + dataDisp(slot, 0));
+  stats_.integrity.crc_checks += t.runs;
+  stats_.integrity.crc_mismatches += t.mismatches;
+  chargeChecksum(t.bytes);
+  if (t.mismatches != 0) repairSegment(g, slot);
 }
 
 void File::repairSegment(SegmentId g, std::int64_t slot) {
@@ -2059,29 +1706,24 @@ void File::repairSegment(SegmentId g, std::int64_t slot) {
   }
   // The replay must reproduce every ledgered digest exactly; otherwise the
   // corruption predates the clean copies and nothing can prove the bytes.
-  for (const auto& [disp, entry] : ledger_[g]) {
-    if (ledgerCrc(local, slot, disp, entry) != entry.crc) {
-      ++stats_.integrity.unrepairable;
-      throw IntegrityError("segment " + std::to_string(g) + " of " + name_ +
-                           " still fails its CRC after journal replay");
-    }
+  if (ledger_.at(g).verify(local + dataDisp(slot, 0)).mismatches != 0) {
+    ++stats_.integrity.unrepairable;
+    throw IntegrityError("segment " + std::to_string(g) + " of " + name_ +
+                         " still fails its CRC after journal replay");
   }
   ++stats_.integrity.repaired;
   local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
 }
 
-void File::scrubTick(mpi::CapturedError& err) {
-  if (!integrity_on_ || cfg_.integrity.scrub_segments_per_collective <= 0) {
-    return;
-  }
-  if (err.set()) return;  // this collective already has a verdict to agree
-  try {
+void File::scrubTick() {
+  if (!integrity_on_) return;
+  mpi::CapturedError err;
+  captureLocal(err, [&] {
     const auto owned = ownedSlots();
     if (owned.empty()) return;
     ++stats_.integrity.scrub_passes;
-    const std::int64_t budget =
-        std::min(cfg_.integrity.scrub_segments_per_collective,
-                 static_cast<std::int64_t>(owned.size()));
+    const std::int64_t budget = std::min(
+        kScrubPerCollective, static_cast<std::int64_t>(owned.size()));
     for (std::int64_t i = 0; i < budget; ++i) {
       const auto& [g, slot] = owned[static_cast<std::size_t>(
           scrub_cursor_++ % static_cast<std::int64_t>(owned.size()))];
@@ -2090,11 +1732,8 @@ void File::scrubTick(mpi::CapturedError& err) {
         ++stats_.integrity.segments_scrubbed;
       }
     }
-  } catch (const check::CheckFailure&) {
-    throw;  // checker verdicts abort the job typed, never agreed-and-retyped
-  } catch (const std::exception& e) {
-    err.capture(e);
-  }
+  });
+  collectiveAgreeOnError(err);
 }
 
 void File::maybeCorruptWindow() {
@@ -2107,9 +1746,9 @@ void File::maybeCorruptWindow() {
     const auto it = ledger_.find(g);
     if (it == ledger_.end() || it->second.empty()) continue;
     if (!corruption_->fires(CorruptSite::kWindow)) return;
-    const auto& [disp, entry] = *it->second.begin();
-    corruption_->flipBit({window_->localData() + dataDisp(slot, disp),
-                          static_cast<std::size_t>(entry.len)});
+    const CrcRun& run = it->second.front();
+    corruption_->flipBit(
+        {window_->localData() + dataDisp(slot, run.disp), run.len});
     return;
   }
 }

@@ -37,6 +37,7 @@
 #include "mpi/rma.h"
 #include "tcio/config.h"
 #include "tcio/journal.h"
+#include "tcio/ledger.h"
 #include "tcio/level1.h"
 #include "tcio/segment_map.h"
 #include "topo/node_aggregator.h"
@@ -271,13 +272,30 @@ class File {
   /// are resident in level-2).
   void gatherPending(std::vector<PendingRead>& reads);
 
+  /// The head every collective point shares (flush, fetch, close): the
+  /// level-1 residue flush, then the agreement on its outcome, then the
+  /// RMA-fallback decision. With crash tolerance the agreement is a liveness
+  /// round, so a peer that died since the last collective (or dies in this
+  /// flush) is agreed dead, and its segments taken over, before any plain
+  /// collective is entered. Without it the agreement is skipped where a
+  /// later one covers the flush: a staged exchange agrees `err` together
+  /// with its own outcome, and close() agrees it in its final round. close()
+  /// passes `verdict`, which collects the agreed outcome instead of throwing;
+  /// on a readable file it leaves the fallback decision to the fetch head.
+  void flushAndAgree(mpi::CapturedError& err, mpi::CapturedError* verdict);
+  /// Runs the staged exchange when the transfer mode has one (two-sided or
+  /// node-aggregated), consuming `err` into its closing agreement; leaves
+  /// `err` alone on the one-sided path, which has nothing staged.
+  void exchangeStaged(mpi::CapturedError& err);
+
   /// Two-sided ablation: exchange staged writes via alltoallv (collective).
-  void exchangeStagedWrites();
+  /// `err` is the caller's pending failure, agreed with the apply step's.
+  void exchangeStagedWrites(mpi::CapturedError err);
 
   /// Node-aggregation write path (collective): staged writes funnel through
   /// node leaders; destination leaders apply them into node-local owners'
-  /// windows over the memory bus.
-  void nodeExchangeStagedWrites();
+  /// windows over the memory bus. `err` as for exchangeStagedWrites.
+  void nodeExchangeStagedWrites(mpi::CapturedError err);
 
   /// Node-aggregation read path (collective): pending-read requests and
   /// replies travel leader-to-leader; assumes the owner-load phase of
@@ -316,12 +334,12 @@ class File {
 
   /// Liveness-tracking agreement: runs epochs of mpi::agreeWithLiveness
   /// until the dead set stops growing, handling each batch of deaths
-  /// (shrink, takeover, replay) as it is agreed. Returns the max-reduced
-  /// error outcome instead of throwing it, so close() can release resources
-  /// first. Throws RankCrashedError if *this* rank is declared dead
-  /// (self-fence). Falls back to plain agreeOnError when crash tolerance is
-  /// off.
-  std::pair<std::int32_t, std::string> agreeAndRecover(mpi::CapturedError err);
+  /// (shrink, takeover, replay) as it is agreed. Folds the agreed error
+  /// outcome into `verdict` (the higher code wins) instead of throwing it,
+  /// so close() can release resources first. Throws RankCrashedError if
+  /// *this* rank is declared dead (self-fence). Falls back to one plain
+  /// error agreement when crash tolerance is off.
+  void agreeAndRecover(mpi::CapturedError err, mpi::CapturedError& verdict);
 
   /// Recovery for one agreed batch of deaths (ranks of the *current*
   /// communicator): shrink to the survivors, deterministically reassign the
@@ -330,6 +348,8 @@ class File {
   /// aggregation over the shrunk communicator, and replay journals for the
   /// segments this rank adopted.
   void handleDeaths(const std::vector<Rank>& dead_cur);
+  /// (Re)builds the node-aggregation layer over the current communicator.
+  void buildNodeAggregation();
 
   /// Replays every original rank's journal for the adopted segments:
   /// into spare window slots before the drain, directly into the file (whole
@@ -391,22 +411,10 @@ class File {
   /// pattern digests a whole flush's worth of tiny strided extents per
   /// record instead of paying 32 wire bytes for every 4-byte element.
   struct DigestRec {
-    std::int64_t seg = 0;
-    Offset disp = 0;           // first piece's in-segment displacement
-    std::uint32_t len = 0;     // bytes per piece
-    std::uint32_t stride = 0;  // spacing between piece starts (0: count == 1)
-    std::uint32_t count = 1;   // pieces in the run
-    std::uint32_t crc = 0;     // CRC32 over the pieces' bytes, concatenated
+    SegmentId seg = 0;
+    CrcRun run;
   };
   static_assert(sizeof(DigestRec) == 32);
-
-  /// Owner-side digest ledger entry: one run of an owned segment.
-  struct LedgerEntry {
-    Bytes len = 0;            // bytes per piece
-    Offset stride = 0;        // spacing between piece starts (count > 1 only)
-    std::int64_t count = 1;   // pieces in the run
-    std::uint32_t crc = 0;    // CRC32 over the pieces, concatenated in order
-  };
 
   /// Records digests of the level-1 buffer's merged extents (client put
   /// time, before any hop can corrupt them), coalescing contiguous or
@@ -417,15 +425,6 @@ class File {
   /// (takeovers change ownership under the writers' feet). Aligned with the
   /// flush / fetch / close exchanges, so it works in every transfer mode.
   void exchangeDigests();
-  /// Folds one run into this owner's ledger. An older entry is superseded
-  /// whole when any of its pieces actually intersects the new run — CRCs are
-  /// not splittable, but interlocking strided runs from different writers
-  /// coexist because their pieces never touch.
-  void ledgerInsert(SegmentId seg, Offset disp, Bytes len, Offset stride,
-                    std::int64_t count, std::uint32_t crc);
-  /// Streams the CRC of `entry`'s pieces out of owned slot `slot`.
-  std::uint32_t ledgerCrc(const std::byte* local, std::int64_t slot,
-                          Offset disp, const LedgerEntry& entry) const;
   /// Verifies every ledgered extent of owned slot `slot` (segment `g`)
   /// against the window bytes; repairs from the WAL on mismatch; throws
   /// IntegrityError when repair fails.
@@ -433,10 +432,10 @@ class File {
   /// WAL repair: re-applies every journaled record of segment `g` into the
   /// window, then re-verifies the ledger. Throws IntegrityError on failure.
   void repairSegment(SegmentId g, std::int64_t slot);
-  /// Background scrubber: verifies up to scrub_segments_per_collective owned
-  /// segments per call, round-robin. Failures land in `err` for the caller's
-  /// agreement round.
-  void scrubTick(mpi::CapturedError& err);
+  /// Background scrubber (collective): verifies up to kScrubPerCollective
+  /// owned segments per call, round-robin, then agrees on the outcome.
+  /// No-op with integrity off.
+  void scrubTick();
   /// Charges the virtual-time cost of a digest/verify pass over n bytes.
   void chargeChecksum(Bytes n);
   /// Seeded kWindow corruption: flips one bit inside a ledgered extent of an
@@ -480,8 +479,8 @@ class File {
   bool integrity_on_ = false;
   std::unique_ptr<CorruptionPlan> corruption_;  // seeded, rank-salted
   std::vector<DigestRec> pending_digests_;      // since the last exchange
-  /// Owner-side ledger: segment -> (in-segment displacement -> entry).
-  std::map<SegmentId, std::map<Offset, LedgerEntry>> ledger_;
+  /// Owner-side digest ledger of every owned segment that has one.
+  std::map<SegmentId, SegmentLedger> ledger_;
   std::int64_t scrub_cursor_ = 0;  // round-robin over owned slots
 
   // -- Crash-tolerance state (inert unless cfg_.crash.enabled) ---------------

@@ -640,5 +640,50 @@ TEST(DelegateIntegrityTest, FineGrainedPutsCoalesceIntoLedgerRuns) {
   }
 }
 
+TEST(DelegateIntegrityTest, InterleavedWriterKeepsLedgerCoverage) {
+  // Client 0 writes every fourth 16-byte piece of segment 0 (one strided
+  // ledger run at delegate 0, whose shard buffer takes a bit flip inside the
+  // first piece). Client 1 then writes piece 1 — inside the strided run's
+  // envelope, but touching none of its pieces. Its digest must not evict
+  // client 0's run: the drain scrub still covers the flipped piece, detects
+  // it and heals it from the WAL before the bytes reach the store.
+  fs::FsConfig fcfg;
+  fcfg.num_osts = 4;
+  fcfg.stripe_size = 1024;
+  fs::Filesystem fsys(fcfg);
+  core::TcioDelegateStats stats;
+  constexpr Bytes kPiece = 16;
+  constexpr int kPieces = static_cast<int>(kSegment / kPiece);
+  mpi::runJob(delegateJob(), [&](mpi::Comm& comm) {
+    core::TcioConfig cfg = delegatedIntegrity(/*d=*/2);
+    cfg.faults.corruptions.push_back(
+        {/*rank=*/0, CorruptSite::kWindow, /*after=*/0});
+    runSession(comm, fsys, cfg, [&](Session& s, Channel& ch) {
+      const int c = s.clientComm().rank();
+      DFile f(ch, "dinterleave.dat", fs::kRead | fs::kWrite | fs::kCreate);
+      if (c == 0) {
+        for (int i = 0; i < kPieces; i += 4) {
+          const Offset off = static_cast<Offset>(i) * kPiece;
+          f.writeAt(off, clientBlock(0, off, kPiece));
+        }
+        f.flush();
+      }
+      s.clientComm().barrier();
+      if (c == 1) f.writeAt(kPiece, clientBlock(1, kPiece, kPiece));
+      f.close();
+    }, &stats);
+  });
+  EXPECT_GE(stats.crc_mismatches, 1);
+  EXPECT_GE(stats.repaired, 1);
+  EXPECT_EQ(stats.unrepairable, 0);
+  for (int i = 0; i < kPieces; ++i) {
+    if (i % 4 != 0 && i != 1) continue;
+    const Offset off = static_cast<Offset>(i) * kPiece;
+    std::vector<std::byte> got(static_cast<std::size_t>(kPiece));
+    fsys.peek("dinterleave.dat", off, got);
+    EXPECT_EQ(got, clientBlock(i == 1 ? 1 : 0, off, kPiece)) << "piece " << i;
+  }
+}
+
 }  // namespace
 }  // namespace tcio::delegate
