@@ -2,9 +2,11 @@
 # Output-identity gate for refactors that claim to change no modeled cost:
 # builds <base-ref> and the current checkout in separate trees, runs the
 # seven bench tables that print fully deterministic output under
-# TCIO_BENCH_FAST=1 (no wall-clock columns) on each, and diffs them. Any
-# difference — a table cell, an acceptance line or an exit code — exits
-# non-zero.
+# TCIO_BENCH_FAST=1 (no wall-clock columns) on each, and diffs them. It then
+# runs every perfbench workload once (seed 1, one cycle, untraced) on each
+# side and diffs `correct`, `failed` and the five modeled metrics; the
+# host-measured `setup_s` and `peak_rss_mb` are skipped. Any difference — a
+# table cell, an acceptance line, a metric or an exit code — exits non-zero.
 #
 #   scripts/ci_same_outputs.sh <base-ref>
 #
@@ -33,6 +35,7 @@ BENCHES=(
   bench_fault_degradation
   bench_table3_comparison
 )
+WORKLOADS=(interleaved_rw art_checkpoint resilient_rw delegate_rw)
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -40,7 +43,25 @@ trap 'rm -rf "$WORK"' EXIT
 mkdir "$WORK/base-src"
 git archive "$BASE" | tar -x -C "$WORK/base-src"
 
-# side <name> <source dir>: build the benches, run each, keep its output.
+# modeled <perfbench output>: the fields of its JSON result line that must
+# repeat bit for bit.
+modeled() {
+  tail -n 1 "$1" | python3 -c '
+import json, sys
+try:
+    r = json.loads(sys.stdin.read())
+except ValueError:
+    sys.exit("no JSON result")
+print("correct:", r["correct"])
+print("failed:", r["failed"])
+for k in ("write_mbps", "read_mbps", "baseline_write_mbps",
+          "baseline_read_mbps", "mem_per_rank_kib"):
+    print(k + ":", repr(r["metrics"][k]["value"]))
+' 2>&1 || true
+}
+
+# side <name> <source dir>: build the benches, run each, keep its output;
+# then run every perfbench workload and keep its modeled fields.
 run_side() {
   local name=$1 src=$2
   echo "== $name: building $(printf '%s ' "${BENCHES[@]}")"
@@ -57,21 +78,31 @@ run_side() {
       rc=$?
     echo "exit status: $rc" >>"$WORK/$name-out/$b.txt"
   done
+  for w in "${WORKLOADS[@]}"; do
+    echo "== $name: perfbench $w"
+    local rc=0 raw="$WORK/$name-out/perfbench-$w.raw"
+    (cd "$src" && CARGO_TARGET_DIR="$WORK/$name-perfbench" \
+      python3 perfbench/run.py --workload "$w" --seed 1 --seconds 0 \
+      --trace 0 >"$raw" 2>"$raw.log") || rc=$?
+    modeled "$raw" >"$WORK/$name-out/perfbench-$w.txt"
+    echo "exit status: $rc" >>"$WORK/$name-out/perfbench-$w.txt"
+  done
 }
 
 run_side base "$WORK/base-src"
 run_side head "$PWD"
 
 status=0
-for b in "${BENCHES[@]}"; do
-  if diff -u "$WORK/base-out/$b.txt" "$WORK/head-out/$b.txt"; then
-    echo "same: $b"
+for out in "${BENCHES[@]}" "${WORKLOADS[@]/#/perfbench-}"; do
+  if diff -u "$WORK/base-out/$out.txt" "$WORK/head-out/$out.txt"; then
+    echo "same: $out"
   else
-    echo "DIFFERS: $b"
+    echo "DIFFERS: $out"
     status=1
   fi
 done
 if [ "$status" -eq 0 ]; then
-  echo "all ${#BENCHES[@]} bench tables byte-identical to $BASE"
+  echo "all ${#BENCHES[@]} bench tables and ${#WORKLOADS[@]} perfbench" \
+    "workloads identical to $BASE"
 fi
 exit "$status"

@@ -23,6 +23,12 @@ constexpr std::array<std::uint32_t, 256> makeCrcTable() {
 inline constexpr std::array<std::uint32_t, 256> kCrcTable = makeCrcTable();
 }  // namespace detail
 
+/// Per-byte digest/verify throughput charged to virtual time by every
+/// checksum domain (DESIGN.md §11). Hardware-folded CRC32 (PCLMUL class)
+/// runs near memory speed and overlaps the copy pass that is already
+/// charged, so only the residual per-byte cost appears here.
+inline constexpr double kChecksumBandwidth = 50.0e9;
+
 /// Incremental CRC-32: pass the previous return value as `seed` to chain.
 constexpr std::uint32_t crc32(std::span<const std::byte> data,
                               std::uint32_t seed = 0) {

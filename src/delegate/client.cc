@@ -36,9 +36,11 @@ Channel::Channel(Session& session)
 
 // -- Wire helpers -------------------------------------------------------------
 
-void Channel::sendDescriptor(int delegate, const RequestHeader& h,
+void Channel::sendDescriptor(int delegate, RequestHeader h,
                              const std::vector<WireExtent>& extents,
                              const std::string& name) {
+  h.n_extents = static_cast<std::int32_t>(extents.size());
+  h.name_len = static_cast<std::int32_t>(name.size());
   std::vector<std::byte> msg(sizeof(h) +
                              extents.size() * sizeof(WireExtent) +
                              name.size());
@@ -50,6 +52,52 @@ void Channel::sendDescriptor(int delegate, const RequestHeader& h,
   }
   if (!name.empty()) std::memcpy(cursor, name.data(), name.size());
   comm_->send(msg.data(), static_cast<Bytes>(msg.size()), delegate, kReqTag);
+}
+
+void Channel::sendRequest(const PendingOp& op, std::int64_t seq) {
+  RequestHeader h = requestHeader(op.op, comm_->rank(), seq, op.key);
+  h.payload_bytes = op.payload_bytes;
+  sendDescriptor(op.owner, h, op.extents);
+}
+
+std::vector<ReplyMsg> Channel::fanOut(RequestHeader h,
+                                      const std::string& name) {
+  std::vector<std::pair<int, std::int64_t>> outstanding;
+  for (const int d : s_->liveDelegates()) {
+    if ((suspected_ & bit(d)) != 0) continue;
+    h.seq = next_seq_++;
+    sendDescriptor(d, h, {}, name);
+    outstanding.emplace_back(d, h.seq);
+  }
+  std::vector<ReplyMsg> replies;
+  for (const auto& [d, seq] : outstanding) {
+    ReplyMsg r;
+    if (awaitReply(d, seq, &r)) replies.push_back(r);
+  }
+  return replies;
+}
+
+void Channel::forEachChunk(
+    const std::vector<WireExtent>& extents,
+    const std::function<void(std::vector<WireExtent>, Bytes)>& send) const {
+  const Bytes frame_bytes = s_->frameBytes();
+  std::vector<WireExtent> chunk;
+  Bytes chunk_bytes = 0;
+  for (const WireExtent& e : extents) {
+    const Bytes len = e.end - e.begin;
+    TCIO_CHECK_MSG(len <= frame_bytes,
+                   "one extent must fit the staging frame — split it");
+    if (!chunk.empty() &&
+        (chunk_bytes + len > frame_bytes ||
+         static_cast<std::int64_t>(chunk.size()) >= kMaxWireExtents)) {
+      send(std::move(chunk), chunk_bytes);
+      chunk.clear();
+      chunk_bytes = 0;
+    }
+    chunk.push_back(e);
+    chunk_bytes += len;
+  }
+  if (!chunk.empty()) send(std::move(chunk), chunk_bytes);
 }
 
 bool Channel::awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
@@ -106,24 +154,14 @@ void Channel::suspect(int delegate) { suspected_ |= bit(delegate); }
 // -- Open ---------------------------------------------------------------------
 
 void Channel::open(const std::string& name, unsigned flags) {
-  const std::uint64_t key = fileKey(name);
-  std::vector<std::pair<int, std::int64_t>> outstanding;
-  for (const int d : s_->liveDelegates()) {
-    RequestHeader h;
-    h.op = Op::kOpen;
-    h.client = comm_->rank();
-    h.seq = next_seq_++;
-    h.file_key = key;
-    h.name_len = static_cast<std::int32_t>(name.size());
-    h.aux = static_cast<std::int64_t>(flags);
-    sendDescriptor(d, h, {}, name);
-    outstanding.emplace_back(d, h.seq);
-  }
-  for (const auto& [d, seq] : outstanding) {
-    ReplyMsg r;
-    TCIO_CHECK_MSG(awaitReply(d, seq, &r),
-                   "delegate died during open — open before injecting "
-                   "crashes (crash points fire on data ops)");
+  RequestHeader h = requestHeader(Op::kOpen, comm_->rank(), 0, fileKey(name));
+  h.aux = static_cast<std::int64_t>(flags);
+  const std::size_t live = s_->liveDelegates().size();
+  const std::vector<ReplyMsg> replies = fanOut(h, name);
+  TCIO_CHECK_MSG(replies.size() == live,
+                 "delegate died during open — open before injecting "
+                 "crashes (crash points fire on data ops)");
+  for (const ReplyMsg& r : replies) {
     TCIO_CHECK(r.kind == ReplyKind::kOpenDone);
   }
 }
@@ -154,16 +192,7 @@ std::int64_t Channel::postPut(std::uint64_t key,
   }
   op.deferred = (suspected_ & bit(op.owner)) != 0;
   const std::int64_t seq = next_seq_++;
-  if (!op.deferred) {
-    RequestHeader h;
-    h.op = Op::kPut;
-    h.client = comm_->rank();
-    h.seq = seq;
-    h.file_key = key;
-    h.payload_bytes = op.payload_bytes;
-    h.n_extents = static_cast<std::int32_t>(op.extents.size());
-    sendDescriptor(op.owner, h, op.extents);
-  }
+  if (!op.deferred) sendRequest(op, seq);
   pending_.emplace(seq, std::move(op));
   return seq;
 }
@@ -187,14 +216,7 @@ bool Channel::awaitAdmission(PendingOp& op, std::int64_t seq,
     ++s_->client_busy_retries;
     comm_->proc().advance(
         sim::backoffDelay(busy_policy_, attempt, comm_->proc().rng()));
-    RequestHeader h;
-    h.op = op.op;
-    h.client = comm_->rank();
-    h.seq = seq;
-    h.file_key = op.key;
-    h.payload_bytes = op.payload_bytes;
-    h.n_extents = static_cast<std::int32_t>(op.extents.size());
-    sendDescriptor(op.owner, h, op.extents);
+    sendRequest(op, seq);
   }
 }
 
@@ -221,12 +243,9 @@ bool Channel::finishPut(std::int64_t seq) {
   w.put(op.owner, frame * s_->frameBytes(), op.payload.data(),
         op.payload_bytes);
   w.unlock(op.owner);
-  RequestHeader h;
-  h.op = Op::kPutData;
-  h.client = comm_->rank();
-  h.seq = seq;
-  h.file_key = op.key;
-  sendDescriptor(op.owner, h, {});
+  const RequestHeader h =
+      requestHeader(Op::kPutData, comm_->rank(), seq, op.key);
+  sendDescriptor(op.owner, h);
   ReplyMsg r;
   for (;;) {
     if (!awaitReply(op.owner, seq, &r)) {
@@ -244,7 +263,7 @@ bool Channel::finishPut(std::int64_t seq) {
     w.put(op.owner, r.value * s_->frameBytes(), op.payload.data(),
           op.payload_bytes);
     w.unlock(op.owner);
-    sendDescriptor(op.owner, h, {});
+    sendDescriptor(op.owner, h);
   }
   TCIO_CHECK(r.kind == ReplyKind::kPutDone);
   return true;
@@ -252,34 +271,14 @@ bool Channel::finishPut(std::int64_t seq) {
 
 void Channel::put(std::uint64_t key, std::vector<WireExtent> extents,
                   std::vector<std::byte> payload) {
-  // Chunk on the frame size and the descriptor extent cap; each chunk is one
-  // admission-controlled request.
-  const Bytes frame_bytes = s_->frameBytes();
-  std::vector<WireExtent> chunk;
-  Bytes chunk_bytes = 0;
+  // Each chunk is one admission-controlled request.
   Bytes consumed = 0;
-  const auto flush_chunk = [&] {
-    if (chunk.empty()) return;
-    std::vector<std::byte> slice(
-        payload.begin() + consumed, payload.begin() + consumed + chunk_bytes);
-    consumed += chunk_bytes;
+  forEachChunk(extents, [&](std::vector<WireExtent> chunk, Bytes bytes) {
+    std::vector<std::byte> slice(payload.begin() + consumed,
+                                 payload.begin() + consumed + bytes);
+    consumed += bytes;
     finishPut(postPut(key, std::move(chunk), std::move(slice)));
-    chunk.clear();
-    chunk_bytes = 0;
-  };
-  for (const WireExtent& e : extents) {
-    const Bytes len = e.end - e.begin;
-    TCIO_CHECK_MSG(len <= frame_bytes,
-                   "one extent must fit the staging frame — split it");
-    if (!chunk.empty() &&
-        (chunk_bytes + len > frame_bytes ||
-         static_cast<std::int64_t>(chunk.size()) >= kMaxWireExtents)) {
-      flush_chunk();
-    }
-    chunk.push_back(e);
-    chunk_bytes += len;
-  }
-  flush_chunk();
+  });
 }
 
 // -- Gets ---------------------------------------------------------------------
@@ -298,14 +297,7 @@ std::int64_t Channel::postGet(std::uint64_t key,
                  "reading from a crashed delegate is not supported — "
                  "resolve failures (flush) before reading");
   const std::int64_t seq = next_seq_++;
-  RequestHeader h;
-  h.op = Op::kGet;
-  h.client = comm_->rank();
-  h.seq = seq;
-  h.file_key = key;
-  h.payload_bytes = payload_bytes;
-  h.n_extents = static_cast<std::int32_t>(op.extents.size());
-  sendDescriptor(op.owner, h, op.extents);
+  sendRequest(op, seq);
   pending_.emplace(seq, std::move(op));
   return seq;
 }
@@ -343,81 +335,35 @@ void Channel::finishGet(std::int64_t seq, std::byte* out) {
       }
     }
   }
-  RequestHeader h;
-  h.op = Op::kGetAck;
-  h.client = comm_->rank();
-  h.seq = seq;
-  h.file_key = op.key;
+  RequestHeader h = requestHeader(Op::kGetAck, comm_->rank(), seq, op.key);
   h.aux = frame;
-  sendDescriptor(op.owner, h, {});
+  sendDescriptor(op.owner, h);
 }
 
 void Channel::get(std::uint64_t key, const std::vector<WireExtent>& extents,
                   std::byte* out) {
-  const Bytes frame_bytes = s_->frameBytes();
-  std::vector<WireExtent> chunk;
-  Bytes chunk_bytes = 0;
   Bytes consumed = 0;
-  const auto flush_chunk = [&] {
-    if (chunk.empty()) return;
-    const Bytes bytes = chunk_bytes;
+  forEachChunk(extents, [&](std::vector<WireExtent> chunk, Bytes bytes) {
     finishGet(postGet(key, std::move(chunk), bytes), out + consumed);
     consumed += bytes;
-    chunk.clear();
-    chunk_bytes = 0;
-  };
-  for (const WireExtent& e : extents) {
-    const Bytes len = e.end - e.begin;
-    TCIO_CHECK_MSG(len <= frame_bytes,
-                   "one extent must fit the staging frame — split it");
-    if (!chunk.empty() &&
-        (chunk_bytes + len > frame_bytes ||
-         static_cast<std::int64_t>(chunk.size()) >= kMaxWireExtents)) {
-      flush_chunk();
-    }
-    chunk.push_back(e);
-    chunk_bytes += len;
-  }
-  flush_chunk();
+  });
 }
 
 // -- Flush / close ------------------------------------------------------------
 
 void Channel::flushDelegates(std::uint64_t key) {
-  std::vector<std::pair<int, std::int64_t>> outstanding;
-  for (const int d : s_->liveDelegates()) {
-    if ((suspected_ & bit(d)) != 0) continue;
-    RequestHeader h;
-    h.op = Op::kFlush;
-    h.client = comm_->rank();
-    h.seq = next_seq_++;
-    h.file_key = key;
-    sendDescriptor(d, h, {});
-    outstanding.emplace_back(d, h.seq);
-  }
-  for (const auto& [d, seq] : outstanding) {
-    ReplyMsg r;
-    if (!awaitReply(d, seq, &r)) continue;  // suspected; resolved by caller
+  // A delegate that timed out is suspected; the caller resolves it.
+  for (const ReplyMsg& r :
+       fanOut(requestHeader(Op::kFlush, comm_->rank(), 0, key))) {
     TCIO_CHECK(r.kind == ReplyKind::kFlushDone);
   }
 }
 
 Bytes Channel::closeFile(std::uint64_t key) {
-  std::vector<std::pair<int, std::int64_t>> outstanding;
-  for (const int d : s_->liveDelegates()) {
-    if ((suspected_ & bit(d)) != 0) continue;
-    RequestHeader h;
-    h.op = Op::kClose;
-    h.client = comm_->rank();
-    h.seq = next_seq_++;
-    h.file_key = key;
-    sendDescriptor(d, h, {});
-    outstanding.emplace_back(d, h.seq);
-  }
+  // A delegate that died mid-drain has no reply; its adopter covers it.
   Bytes remote_max = 0;
-  for (const auto& [d, seq] : outstanding) {
-    ReplyMsg r;
-    if (!awaitReply(d, seq, &r)) continue;  // died mid-drain; adopter covers
+  for (const ReplyMsg& r :
+       fanOut(requestHeader(Op::kClose, comm_->rank(), 0, key))) {
     TCIO_CHECK(r.kind == ReplyKind::kCloseDone);
     remote_max = std::max<Bytes>(remote_max, r.value);
   }
@@ -449,11 +395,8 @@ void Channel::resolveFailures() {
       }
       std::vector<std::pair<int, std::int64_t>> outstanding;
       for (int d = 0; d < s_->numDelegates(); ++d) {
-        RequestHeader h;
-        h.op = Op::kAdopt;
-        h.client = comm_->rank();
-        h.seq = next_seq_++;
-        h.n_extents = static_cast<std::int32_t>(dead_list.size());
+        const RequestHeader h =
+            requestHeader(Op::kAdopt, comm_->rank(), next_seq_++);
         sendDescriptor(d, h, dead_list);
         if ((agreed_dead_ & bit(d)) == 0) outstanding.emplace_back(d, h.seq);
       }

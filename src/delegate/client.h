@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,10 +92,24 @@ class Channel {
     bool deferred = false;
   };
 
-  /// Serializes and sends one descriptor on kReqTag.
-  void sendDescriptor(int delegate, const RequestHeader& h,
-                      const std::vector<WireExtent>& extents,
+  /// Serializes and sends one descriptor on kReqTag; fills the header's
+  /// extent and name counts from `extents` and `name`.
+  void sendDescriptor(int delegate, RequestHeader h,
+                      const std::vector<WireExtent>& extents = {},
                       const std::string& name = {});
+  /// Sends (or resends) the data descriptor of `op` under `seq`.
+  void sendRequest(const PendingOp& op, std::int64_t seq);
+  /// Sends `h`, under a fresh sequence number each, to every live delegate
+  /// this client does not suspect, then awaits each reply in send order.
+  /// Returns the replies that arrived; a delegate that timed out is now
+  /// suspected and has none.
+  std::vector<ReplyMsg> fanOut(RequestHeader h, const std::string& name = {});
+  /// Splits `extents` into requests that fit one staging frame and one
+  /// descriptor's extent cap, and calls send(chunk, chunk_bytes) for each
+  /// in order.
+  void forEachChunk(
+      const std::vector<WireExtent>& extents,
+      const std::function<void(std::vector<WireExtent>, Bytes)>& send) const;
   /// Awaits the reply carrying `seq` from `delegate`, stashing out-of-order
   /// replies. Returns false on a liveness timeout (crash mode only), after
   /// marking the delegate suspected. kError replies rethrow typed.

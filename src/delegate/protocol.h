@@ -76,6 +76,19 @@ struct RequestHeader {
   std::int64_t aux = 0;  // kOpen: fs::OpenFlags
 };
 
+/// The header of descriptor `op` from `client`; the sender fills the other
+/// fields its op needs (Channel::sendDescriptor fills the two counts).
+inline RequestHeader requestHeader(Op op, std::int32_t client,
+                                   std::int64_t seq = 0,
+                                   std::uint64_t file_key = 0) {
+  RequestHeader h;
+  h.op = op;
+  h.client = client;
+  h.seq = seq;
+  h.file_key = file_key;
+  return h;
+}
+
 /// Fixed-size head of every reply. kShutdownDone appends a TcioDelegateStats
 /// blob; kError appends `value2` bytes of message text.
 struct ReplyMsg {

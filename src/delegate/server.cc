@@ -445,24 +445,14 @@ void Server::serveClose(Pending& p) {
   ++f.closes;
   f.closers.push_back({p.h.client, p.h.seq});
   if (f.closes < f.opens) return;  // reply deferred until the drain
-  drainAndClose(f);
-  const Bytes local_max = [&] {
-    Bytes m = 0;
-    for (const auto& [g, sb] : f.segs) {
-      if (sb.extents.empty()) continue;
-      const std::vector<Extent> merged = mpi::normalizeOverlapping(sb.extents);
-      m = std::max<Bytes>(m, g * s_->config().segment_size +
-                                 merged.back().end);
-    }
-    return m;
-  }();
+  const Bytes local_max = drainAndClose(f);
   for (const auto& [client, seq] : f.closers) {
     reply(client, seq, ReplyKind::kCloseDone, local_max);
   }
   f.closers.clear();
 }
 
-void Server::drainAndClose(FileState& f) {
+Bytes Server::drainAndClose(FileState& f) {
   check::Checker* ck = comm_->world().checker();
   Bytes local_max = 0;
   for (auto& [g, sb] : f.segs) {
@@ -491,6 +481,7 @@ void Server::drainAndClose(FileState& f) {
   if (ck != nullptr) {
     comm_->proc().atomic([&] { ck->onFileClosed(f.name, local_max, me_); });
   }
+  return local_max;
 }
 
 void Server::serveAdopt(Pending& p) {
@@ -644,8 +635,7 @@ void Server::serveShutdown(Pending& p) {
 // -- End-to-end integrity at the delegate (DESIGN.md §11) ---------------------
 
 void Server::chargeChecksum(Bytes n) {
-  comm_->proc().advance(static_cast<double>(n) /
-                        s_->config().integrity.checksum_bandwidth);
+  comm_->proc().advance(static_cast<double>(n) / kChecksumBandwidth);
 }
 
 void Server::verifySegment(FileState& f, SegmentId g, SegBuf& sb) {

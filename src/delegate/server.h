@@ -105,7 +105,9 @@ class Server {
   void serveClose(Pending& p);
   void serveAdopt(Pending& p);
   void serveShutdown(Pending& p);
-  void drainAndClose(FileState& f);
+  /// Writes the shard's dirty extents, commits the WAL and closes the file;
+  /// returns the delegate-local max written file extent.
+  Bytes drainAndClose(FileState& f);
   void adoptShard(int dead);
 
   FileState& fileFor(std::uint64_t key);
@@ -125,7 +127,7 @@ class Server {
   /// delegate's WAL for the segment and re-verifies. Throws IntegrityError
   /// when no journal exists or the replayed bytes still mismatch.
   void verifySegment(FileState& f, SegmentId g, SegBuf& sb);
-  /// Charges digest throughput (IntegrityConfig::checksum_bandwidth).
+  /// Charges digest throughput (kChecksumBandwidth).
   void chargeChecksum(Bytes n);
 
   Session* s_;

@@ -68,10 +68,6 @@ struct FsConfig {
   /// device is never replicated or page-digested — its records carry their
   /// own frame CRCs and replay drops what fails them.
   bool integrity_replicas = true;
-  /// Per-byte digest/verify throughput. Hardware-folded CRC32 (PCLMUL
-  /// class) runs near memory speed and overlaps the copy pass that is
-  /// already charged, so only the residual per-byte cost appears here.
-  double checksum_bandwidth = 50.0e9;
 };
 
 }  // namespace tcio::fs

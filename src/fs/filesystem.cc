@@ -13,7 +13,6 @@ Filesystem::Filesystem(FsConfig cfg) : cfg_(cfg), mds_(1.0) {
   TCIO_CHECK(cfg_.default_stripe_count >= 1 &&
              cfg_.default_stripe_count <= cfg_.num_osts);
   TCIO_CHECK(cfg_.page_size > 0);
-  TCIO_CHECK(cfg_.checksum_bandwidth > 0);
   integrity_ = cfg_.integrity > 0 ||
                (cfg_.integrity == 0 && envInt64("TCIO_INTEGRITY", 0) > 0);
   osts_.reserve(static_cast<std::size_t>(cfg_.num_osts));
@@ -133,7 +132,7 @@ SimTime Filesystem::write(int client, SimTime t, int inode, Offset off,
     digestPages(ino, off, n);
     // Digest pass over the acknowledged bytes (hardware-folded CRC; the
     // replica mirror is asynchronous and charges nothing in the foreground).
-    done += static_cast<double>(n) / cfg_.checksum_bandwidth;
+    done += static_cast<double>(n) / kChecksumBandwidth;
   }
   if (plan_ != nullptr &&
       plan_->corruption().fires(CorruptSite::kStoredBlock)) {
@@ -178,7 +177,7 @@ SimTime Filesystem::read(int client, SimTime t, int inode, Offset off,
   });
   if (integrity_) {
     verifyPages(ino, off, n);
-    done += static_cast<double>(n) / cfg_.checksum_bandwidth;
+    done += static_cast<double>(n) / kChecksumBandwidth;
   }
   ino.store.read(off, out);
   return done;

@@ -16,13 +16,6 @@ namespace tcio::core {
 namespace {
 constexpr std::byte kFlagSet{1};
 
-struct BlockMeta {
-  Offset off = 0;
-  Bytes len = 0;
-  std::uint32_t crc = 0;      // CRC32 of the payload (integrity pipeline)
-  std::uint32_t has_crc = 0;  // 1 = `crc` is valid; read requests carry none
-};
-
 /// Owned segments the background scrubber re-verifies per collective call.
 constexpr std::int64_t kScrubPerCollective = 2;
 
@@ -94,20 +87,33 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
     });
   }
   mpi::agreeOnError(*comm_, open_err);
-  if (cfg_.crash.enabled) {
-    // The crash schedule, the per-rank journal, and a reserved block of
-    // communicator contexts for post-death shrinks. The journal open is a
-    // real MDS operation (it can fault), so it is captured and agreed like
-    // the data-file open above.
-    crash_plan_ = std::make_unique<CrashPlan>(cfg_.faults, orig_rank_);
+  // End-to-end integrity: resolve the tri-state once (config and environment
+  // are identical on every rank, so the decision is collectively uniform)
+  // and arm the silent-corruption injector.
+  integrity_on_ = integrityEnabled(cfg_);
+  corruption_ = std::make_unique<CorruptionPlan>(cfg_.faults, orig_rank_);
+  // The per-rank write-ahead journal: the replay source after a crash when
+  // crash tolerance journals, and with integrity alone on a writable file
+  // the repair source for window corruption found by the scrubber. The open
+  // is a real MDS operation (it can fault), so it is captured and agreed
+  // like the data-file open above.
+  const bool journaled = cfg_.crash.enabled
+                             ? cfg_.crash.journal
+                             : integrity_on_ && (flags_ & fs::kWrite) != 0;
+  if (cfg_.crash.enabled || journaled) {
     mpi::CapturedError jerr;
-    if (cfg_.crash.journal) {
+    if (journaled) {
       captureLocal(jerr, [&] {
         journal_ =
             std::make_unique<Journal>(client_, journalPath(name_, orig_rank_));
       });
     }
     mpi::agreeOnError(*comm_, jerr);
+  }
+  if (cfg_.crash.enabled) {
+    // The crash schedule and a reserved block of communicator contexts for
+    // post-death shrinks.
+    crash_plan_ = std::make_unique<CrashPlan>(cfg_.faults, orig_rank_);
     int base = 0;
     if (orig_rank_ == 0) base = comm_->reserveContexts(kMaxShrinks);
     comm_->bcast(&base, sizeof(base), 0);
@@ -118,21 +124,6 @@ File::File(mpi::Comm& comm, fs::Filesystem& fsys, const std::string& name,
     dead_.assign(static_cast<std::size_t>(orig_size_), false);
     next_spare_.assign(static_cast<std::size_t>(orig_size_),
                        cfg_.segments_per_rank);
-  }
-  // End-to-end integrity: resolve the tri-state once (config and environment
-  // are identical on every rank, so the decision is collectively uniform)
-  // and arm the silent-corruption injector. When integrity is on without
-  // crash tolerance, the write-ahead journal is opened anyway — it is the
-  // repair source for window corruption found by the scrubber.
-  integrity_on_ = integrityEnabled(cfg_);
-  corruption_ = std::make_unique<CorruptionPlan>(cfg_.faults, orig_rank_);
-  if (!cfg_.crash.enabled && integrity_on_ && (flags_ & fs::kWrite) != 0) {
-    mpi::CapturedError jerr;
-    captureLocal(jerr, [&] {
-      journal_ =
-          std::make_unique<Journal>(client_, journalPath(name_, orig_rank_));
-    });
-    mpi::agreeOnError(*comm_, jerr);
   }
   window_ = std::make_unique<mpi::Window>(mpi::Window::create(
       *comm_, flags_region_ + slotCount() * cfg_.segment_size));
@@ -243,28 +234,13 @@ void File::flushLevel1() {
   }
   const SimTime flush_begin = comm_->proc().now();
   if (!twoSidedExchange() && !cfg_.node_aggregation) {
-    const Rank owner = ownerOf(seg);
-    const std::int64_t slot = slotOnOwner(seg);
-    if (check::Checker* ck = comm_->world().checker()) {
-      comm_->proc().atomic([&] {
-        ck->onSegmentTransfer(name_, seg, owner, "File::flushLevel1");
-        ck->noteDirty(name_, seg);
-      });
-    }
-    std::vector<mpi::Window::PutBlock> blocks;
-    blocks.reserve(extents.size() + 1);
-    blocks.push_back({flagsDisp(slot, kDirtyFlag), &kFlagSet, 1});
+    std::vector<SlotBlock> blocks;
+    blocks.reserve(extents.size());
     for (const Extent& e : extents) {
-      blocks.push_back(
-          {dataDisp(slot, e.begin), level1_.data() + e.begin, e.size()});
+      blocks.push_back({map_.baseOf(seg) + e.begin, e.size(),
+                        level1_.mutableData() + e.begin});
     }
-    // Shared lock: concurrent flushes from different ranks write disjoint
-    // bytes of the segment (their own blocks), which MPI permits under
-    // shared passive-target epochs — and it keeps flushes from convoying
-    // behind one another when every rank walks the segments in file order.
-    window_->lock(mpi::LockType::kShared, owner);
-    window_->putIndexed(owner, blocks);
-    window_->unlock(owner);
+    putToOwners(blocks, "File::flushLevel1");
     if (comm_->world().trace().enabled()) {
       sim::Proc& p = comm_->proc();
       Bytes n = 0;
@@ -329,7 +305,7 @@ void File::recordRead(Offset off, std::byte* dst, Bytes n) {
     if (level1_.alignedSegment() == seg && !level1_.empty()) {
       flushLevel1();
     }
-    const PendingRead piece{off, take, dst};
+    const SlotBlock piece{off, take, dst};
     if (!cfg_.lazy_reads) {
       independentFetch({piece});
     } else if (cfg_.auto_fetch_on_segment_exit && cfg_.use_onesided &&
@@ -337,7 +313,7 @@ void File::recordRead(Offset off, std::byte* dst, Bytes n) {
       // The cached read domain left the level-1 window: resolve the
       // accumulated group independently (paper §IV.A trigger), then start a
       // new group.
-      std::vector<PendingRead> group;
+      std::vector<SlotBlock> group;
       group.swap(pending_reads_);
       independentFetch(std::move(group));
       pending_segment_ = seg;
@@ -370,26 +346,22 @@ void File::ensureLoadedIndependent(SegmentId seg,
   const Bytes len = std::clamp<Bytes>(fsize - base, 0, cfg_.segment_size);
   scratch.assign(static_cast<std::size_t>(len), std::byte{0});
   if (len > 0) preadDegraded(base, scratch.data(), len);
-  if (check::Checker* ck = comm_->world().checker()) {
-    comm_->proc().atomic([&] {
-      ck->onSegmentTransfer(name_, seg, owner, "File::ensureLoadedIndependent");
-    });
-  }
+  noteTransfers({seg}, "File::ensureLoadedIndependent", /*dirty=*/false);
   std::vector<mpi::Window::PutBlock> blocks;
   blocks.push_back({flagsDisp(slot, kLoadedFlag), &kFlagSet, 1});
   if (len > 0) blocks.push_back({dataDisp(slot, 0), scratch.data(), len});
   window_->putIndexed(owner, blocks);
 }
 
-void File::independentFetch(std::vector<PendingRead> reads) {
+void File::independentFetch(std::vector<SlotBlock> reads) {
   TCIO_CHECK_MSG(cfg_.use_onesided,
                  "independent fetch requires one-sided mode");
   if (reads.empty()) return;
   ++stats_.independent_fetches;
   // Group by segment; each segment is handled under one exclusive lock of
   // its owner (exclusive because we may have to load-and-publish).
-  std::map<SegmentId, std::vector<PendingRead>> by_seg;
-  for (const PendingRead& r : reads) {
+  std::map<SegmentId, std::vector<SlotBlock>> by_seg;
+  for (const SlotBlock& r : reads) {
     by_seg[map_.segmentOf(r.off)].push_back(r);
   }
   for (auto& [seg, group] : by_seg) {
@@ -397,14 +369,10 @@ void File::independentFetch(std::vector<PendingRead> reads) {
     const std::int64_t slot = slotOnOwner(seg);
     std::vector<mpi::Window::GetBlock> blocks;
     blocks.reserve(group.size());
-    for (const PendingRead& r : group) {
-      blocks.push_back({dataDisp(slot, map_.dispOf(r.off)), r.dst, r.len});
+    for (const SlotBlock& r : group) {
+      blocks.push_back({dataDisp(slot, map_.dispOf(r.off)), r.buf, r.len});
     }
-    if (check::Checker* ck = comm_->world().checker()) {
-      comm_->proc().atomic([&] {
-        ck->onSegmentTransfer(name_, seg, owner, "File::independentFetch");
-      });
-    }
+    noteTransfers({seg}, "File::independentFetch", /*dirty=*/false);
     // Fast path: under a shared lock, check residency and gather. Only a
     // non-resident segment needs the exclusive load-and-publish epoch.
     std::byte flags[2];
@@ -426,28 +394,97 @@ void File::independentFetch(std::vector<PendingRead> reads) {
   }
 }
 
-void File::gatherPending(std::vector<PendingRead>& reads) {
-  check::Checker* ck = comm_->world().checker();
-  // One shared-lock epoch and one coalesced get per owner.
-  std::map<Rank, std::vector<mpi::Window::GetBlock>> by_owner;
-  std::set<SegmentId> segs;
-  for (const PendingRead& r : reads) {
-    const SegmentId seg = map_.segmentOf(r.off);
-    by_owner[ownerOf(seg)].push_back(
-        {dataDisp(slotOnOwner(seg), map_.dispOf(r.off)), r.dst, r.len});
-    if (ck != nullptr) segs.insert(seg);
+void File::putToOwners(const std::vector<SlotBlock>& blocks,
+                       const char* site) {
+  const bool checked = comm_->world().checker() != nullptr;
+  std::map<Rank, std::vector<mpi::Window::PutBlock>> by_owner;
+  std::map<Rank, std::set<std::int64_t>> flagged;
+  std::set<SegmentId> segs;  // only the checker reads it
+  for (const SlotBlock& b : blocks) {
+    const SegmentId g = map_.segmentOf(b.off);
+    const Rank owner = ownerOf(g);  // window target: original rank
+    const std::int64_t slot = slotOnOwner(g);
+    auto& puts = by_owner[owner];
+    if (flagged[owner].insert(slot).second) {
+      puts.push_back({flagsDisp(slot, kDirtyFlag), &kFlagSet, 1});
+    }
+    puts.push_back({dataDisp(slot, map_.dispOf(b.off)), b.buf, b.len});
+    if (checked) segs.insert(g);
   }
-  if (ck != nullptr && !segs.empty()) {
-    comm_->proc().atomic([&] {
-      for (const SegmentId g : segs) {
-        ck->onSegmentTransfer(name_, g, ownerOf(g), "File::gatherPending");
-      }
-    });
-  }
-  for (auto& [owner, blocks] : by_owner) {
+  noteTransfers(segs, site, /*dirty=*/true);
+  // Shared lock: concurrent flushes from different ranks write disjoint
+  // bytes of the segment (their own blocks), which MPI permits under
+  // shared passive-target epochs — and it keeps flushes from convoying
+  // behind one another when every rank walks the segments in file order.
+  for (const auto& [owner, puts] : by_owner) {
     window_->lock(mpi::LockType::kShared, owner);
-    window_->getIndexed(owner, blocks);
+    window_->putIndexed(owner, puts);
     window_->unlock(owner);
+  }
+}
+
+void File::getFromOwners(const std::vector<SlotBlock>& blocks,
+                         const char* site) {
+  const bool checked = comm_->world().checker() != nullptr;
+  std::map<Rank, std::vector<mpi::Window::GetBlock>> by_owner;
+  std::set<SegmentId> segs;  // only the checker reads it
+  for (const SlotBlock& b : blocks) {
+    const SegmentId g = map_.segmentOf(b.off);
+    by_owner[ownerOf(g)].push_back(
+        {dataDisp(slotOnOwner(g), map_.dispOf(b.off)), b.buf, b.len});
+    if (checked) segs.insert(g);
+  }
+  noteTransfers(segs, site, /*dirty=*/false);
+  for (const auto& [owner, gets] : by_owner) {
+    window_->lock(mpi::LockType::kShared, owner);
+    window_->getIndexed(owner, gets);
+    window_->unlock(owner);
+  }
+}
+
+void File::noteTransfers(const std::set<SegmentId>& segs, const char* site,
+                         bool dirty, Rank dest) {
+  check::Checker* ck = comm_->world().checker();
+  if (ck == nullptr || segs.empty()) return;
+  comm_->proc().atomic([&] {
+    for (const SegmentId g : segs) {
+      ck->onSegmentTransfer(name_, g, dest < 0 ? ownerOf(g) : dest, site);
+      if (dirty) ck->noteDirty(name_, g);
+    }
+  });
+}
+
+File::BlockMeta File::stagedMeta(Offset off, std::span<const std::byte> bytes) {
+  BlockMeta m{off, static_cast<Bytes>(bytes.size())};
+  if (integrity_on_) {
+    m.crc = crc32(bytes);
+    m.has_crc = 1;
+    chargeChecksum(m.len);
+  }
+  return m;
+}
+
+void File::checkHop(const BlockMeta& m, const std::byte* payload) {
+  if (!integrity_on_ || m.has_crc == 0) return;
+  ++stats_.integrity.crc_checks;
+  chargeChecksum(m.len);
+  if (crc32({payload, static_cast<std::size_t>(m.len)}) != m.crc) {
+    ++stats_.integrity.crc_mismatches;
+  }
+}
+
+template <class Stream, class Fn>
+void File::forEachBlock(Stream& stream, Fn&& fn) {
+  std::size_t pos = 0;
+  while (pos < stream.size()) {
+    BlockMeta m;
+    TCIO_CHECK(pos + sizeof(m) <= stream.size());
+    std::memcpy(&m, stream.data() + pos, sizeof(m));
+    pos += sizeof(m);
+    TCIO_CHECK(m.len >= 0 &&
+               pos + static_cast<std::size_t>(m.len) <= stream.size());
+    fn(m, stream.data() + pos);
+    pos += static_cast<std::size_t>(m.len);
   }
 }
 
@@ -459,9 +496,9 @@ void File::collectiveFetch() {
   flushAndAgree(err, nullptr);
   exchangeStaged(err);
   // Every writer's pending digests reach the segment owners before any data
-  // is served below (an allgatherv — collectively aligned: integrity is
-  // uniform across ranks, and in crash mode the agreement above already
-  // shrank the communicator around any dead peers).
+  // is served below (collectively aligned: integrity is uniform across
+  // ranks, and in crash mode the agreement above already shrank the
+  // communicator around any dead peers and applied their takeovers).
   exchangeDigests();
   // Union of needed segments across ranks (segment ids span the original
   // communicator's domain even after a crash shrink).
@@ -469,38 +506,33 @@ void File::collectiveFetch() {
       cfg_.segments_per_rank * static_cast<std::int64_t>(orig_size_);
   std::vector<std::uint64_t> bitmap(
       static_cast<std::size_t>((total_segs + 63) / 64), 0);
-  for (const PendingRead& r : pending_reads_) {
+  for (const SlotBlock& r : pending_reads_) {
     // A pending piece never crosses a segment boundary (recordRead splits).
     const SegmentId g = map_.segmentOf(r.off);
     bitmap[static_cast<std::size_t>(g / 64)] |= 1ULL << (g % 64);
   }
   comm_->allreduce(bitmap.data(), static_cast<std::int64_t>(bitmap.size()),
                    mpi::ReduceOp::kBitOr);
+  std::vector<std::pair<SegmentId, std::int64_t>> needed;
+  std::set<SegmentId> needed_segs;
+  for (const auto& [g, slot] : ownedSlots()) {
+    if ((bitmap[static_cast<std::size_t>(g / 64)] & (1ULL << (g % 64))) != 0) {
+      needed.emplace_back(g, slot);
+      needed_segs.insert(g);
+    }
+  }
+  // Every slot this rank is about to load (or serve) must be one the
+  // checker's segment map assigns to it.
+  noteTransfers(needed_segs, "File::collectiveFetch(owner load)",
+                /*dirty=*/false, orig_rank_);
   // Owners load their needed, non-resident segments with large file reads.
   // The loads are purely local, so capture any FS failure and agree after
   // the existing barrier (an aligned point for every rank).
-  if (check::Checker* ck = comm_->world().checker()) {
-    // Every slot this rank is about to load (or serve) must be one the
-    // checker's segment map assigns to it.
-    comm_->proc().atomic([&] {
-      for (const auto& [g, slot] : ownedSlots()) {
-        if ((bitmap[static_cast<std::size_t>(g / 64)] &
-             (1ULL << (g % 64))) != 0) {
-          ck->onSegmentTransfer(name_, g, orig_rank_,
-                                "File::collectiveFetch(owner load)");
-        }
-      }
-    });
-  }
   mpi::CapturedError load_err;
   captureLocal(load_err, [&] {
     const Bytes fsize = client_.size(fsfile_);
     std::byte* local_win = window_->localData();
-    for (const auto& [g, slot] : ownedSlots()) {
-      if ((bitmap[static_cast<std::size_t>(g / 64)] & (1ULL << (g % 64))) ==
-          0) {
-        continue;
-      }
+    for (const auto& [g, slot] : needed) {
       std::byte& dirty = local_win[flagsDisp(slot, kDirtyFlag)];
       std::byte& loaded = local_win[flagsDisp(slot, kLoadedFlag)];
       if (dirty != std::byte{0} || loaded != std::byte{0}) continue;
@@ -517,12 +549,7 @@ void File::collectiveFetch() {
     // journal (or surfaces as an agreed IntegrityError), never propagated
     // into a user read buffer.
     if (integrity_on_) {
-      for (const auto& [g, slot] : ownedSlots()) {
-        if ((bitmap[static_cast<std::size_t>(g / 64)] & (1ULL << (g % 64))) !=
-            0) {
-          verifySlot(g, slot);
-        }
-      }
+      for (const auto& [g, slot] : needed) verifySlot(g, slot);
     }
   });
   comm_->barrier();
@@ -531,18 +558,17 @@ void File::collectiveFetch() {
   if (cfg_.node_aggregation) {
     nodeAggregatedGather(pending_reads_);
   } else if (!twoSidedExchange()) {
-    gatherPending(pending_reads_);
+    getFromOwners(pending_reads_, "File::collectiveFetch(gather)");
   } else {
     // Two-sided reply exchange: ship requests to owners, owners answer from
     // their local windows.
     const int P = comm_->size();
     std::vector<std::vector<std::byte>> req_meta(static_cast<std::size_t>(P));
-    for (const PendingRead& r : pending_reads_) {
+    for (const SlotBlock& r : pending_reads_) {
       const BlockMeta m{r.off, r.len};
       const auto owner =
           static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(r.off))));
-      const auto* raw = reinterpret_cast<const std::byte*>(&m);
-      req_meta[owner].insert(req_meta[owner].end(), raw, raw + sizeof(m));
+      appendBytes(req_meta[owner], &m, sizeof(m));
     }
     const mpi::ExchangedBytes got_meta = comm_->exchangeBytes(req_meta);
     // Answer each requester from the local window.
@@ -563,23 +589,16 @@ void File::collectiveFetch() {
         served_segs.insert(g);
       }
     }
-    if (check::Checker* ck = comm_->world().checker();
-        ck != nullptr && !served_segs.empty()) {
-      // Requesters routed these reads here because this rank owns them.
-      comm_->proc().atomic([&] {
-        for (const SegmentId g : served_segs) {
-          ck->onSegmentTransfer(name_, g, orig_rank_,
-                                "File::collectiveFetch(two-sided reply)");
-        }
-      });
-    }
+    // Requesters routed these reads here because this rank owns them.
+    noteTransfers(served_segs, "File::collectiveFetch(two-sided reply)",
+                  /*dirty=*/false, orig_rank_);
     const mpi::ExchangedBytes payload = comm_->exchangeBytes(replies);
     // Scatter: replies from each owner arrive in my request order.
     std::vector<Offset> cursor = payload.displs;
-    for (const PendingRead& r : pending_reads_) {
+    for (const SlotBlock& r : pending_reads_) {
       const auto owner =
           static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(r.off))));
-      std::memcpy(r.dst, payload.data.data() + cursor[owner],
+      std::memcpy(r.buf, payload.data.data() + cursor[owner],
                   static_cast<std::size_t>(r.len));
       cursor[owner] += r.len;
     }
@@ -588,7 +607,7 @@ void File::collectiveFetch() {
   if (comm_->world().trace().enabled()) {
     sim::Proc& p = comm_->proc();
     Bytes n = 0;
-    for (const PendingRead& r : pending_reads_) n += r.len;
+    for (const SlotBlock& r : pending_reads_) n += r.len;
     p.atomic([&] {
       comm_->world().trace().record(p.rank(), fetch_begin, p.now(),
                                     "tcio.fetch", n);
@@ -664,30 +683,30 @@ void File::flushAndAgree(mpi::CapturedError& err,
 }
 
 void File::exchangeStaged(mpi::CapturedError& err) {
+  if (!cfg_.node_aggregation && !twoSidedExchange()) return;
+  mpi::CapturedError apply_err = std::exchange(err, {});
   if (cfg_.node_aggregation) {
-    nodeExchangeStagedWrites(std::exchange(err, {}));
-  } else if (twoSidedExchange()) {
-    exchangeStagedWrites(std::exchange(err, {}));
+    nodeExchangeStagedWrites(apply_err);
+  } else {
+    exchangeStagedWrites(apply_err);
   }
+  comm_->memory().release(staged_bytes_);
+  staged_.clear();
+  staged_bytes_ = 0;
+  collectiveAgreeOnError(apply_err);
 }
 
-void File::exchangeStagedWrites(mpi::CapturedError err) {
+void File::exchangeStagedWrites(mpi::CapturedError& err) {
   if (fallback_two_sided_) ++stats_.degraded.fallback_exchanges;
   const int P = comm_->size();
   const auto sp = static_cast<std::size_t>(P);
   std::vector<std::vector<std::byte>> meta(sp), payload(sp);
   for (const auto& [off, bytes] : staged_) {
-    const SegmentId g = map_.segmentOf(off);
-    const auto owner = static_cast<std::size_t>(curOf(ownerOf(g)));
-    BlockMeta m{off, static_cast<Bytes>(bytes.size())};
-    if (integrity_on_) {
-      m.crc = crc32({bytes.data(), bytes.size()});
-      m.has_crc = 1;
-      chargeChecksum(m.len);
-    }
-    const auto* raw = reinterpret_cast<const std::byte*>(&m);
-    meta[owner].insert(meta[owner].end(), raw, raw + sizeof(m));
-    payload[owner].insert(payload[owner].end(), bytes.begin(), bytes.end());
+    const auto owner =
+        static_cast<std::size_t>(curOf(ownerOf(map_.segmentOf(off))));
+    const BlockMeta m = stagedMeta(off, bytes);
+    appendBytes(meta[owner], &m, sizeof(m));
+    appendBytes(payload[owner], bytes.data(), bytes.size());
   }
   const mpi::ExchangedBytes got_meta = comm_->exchangeBytes(meta);
   const mpi::ExchangedBytes got_payload = comm_->exchangeBytes(payload);
@@ -707,17 +726,7 @@ void File::exchangeStagedWrites(mpi::CapturedError err) {
       for (std::size_t i = 0; i < nb; ++i) {
         const SegmentId g = map_.segmentOf(blocks[i].off);
         const std::int64_t slot = slotOnOwner(g);
-        if (integrity_on_ && blocks[i].has_crc != 0) {
-          // Verify the alltoallv hop. Count a mismatch and apply anyway:
-          // the owner ledger (client-time digests, exchanged separately) is
-          // the authoritative detect-and-repair point at the next pass.
-          ++stats_.integrity.crc_checks;
-          chargeChecksum(blocks[i].len);
-          if (crc32({from, static_cast<std::size_t>(blocks[i].len)}) !=
-              blocks[i].crc) {
-            ++stats_.integrity.crc_mismatches;
-          }
-        }
+        checkHop(blocks[i], from);  // the alltoallv hop
         std::memcpy(local + dataDisp(slot, map_.dispOf(blocks[i].off)), from,
                     static_cast<std::size_t>(blocks[i].len));
         from += blocks[i].len;
@@ -725,26 +734,14 @@ void File::exchangeStagedWrites(mpi::CapturedError err) {
         applied_segs.insert(g);
       }
     }
-    if (check::Checker* ck = comm_->world().checker();
-        ck != nullptr && !applied_segs.empty()) {
-      // Peers routed these blocks here because this rank owns the segments.
-      comm_->proc().atomic([&] {
-        for (const SegmentId g : applied_segs) {
-          ck->onSegmentTransfer(name_, g, orig_rank_,
-                                "File::exchangeStagedWrites");
-          ck->noteDirty(name_, g);
-        }
-      });
-    }
+    // Peers routed these blocks here because this rank owns the segments.
+    noteTransfers(applied_segs, "File::exchangeStagedWrites", /*dirty=*/true,
+                  orig_rank_);
     comm_->chargeCopy(static_cast<Bytes>(got_payload.data.size()));
   });
-  comm_->memory().release(staged_bytes_);
-  staged_.clear();
-  staged_bytes_ = 0;
-  collectiveAgreeOnError(err);
 }
 
-void File::nodeExchangeStagedWrites(mpi::CapturedError err) {
+void File::nodeExchangeStagedWrites(mpi::CapturedError& err) {
   ++stats_.node_exchanges;
   const int N = node_map_->numNodes();
   // Stage records addressed to the *node* hosting each block's owner:
@@ -753,12 +750,7 @@ void File::nodeExchangeStagedWrites(mpi::CapturedError err) {
   for (const auto& [off, bytes] : staged_) {
     const auto dn = static_cast<std::size_t>(
         node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(off)))));
-    BlockMeta m{off, static_cast<Bytes>(bytes.size())};
-    if (integrity_on_) {
-      m.crc = crc32({bytes.data(), bytes.size()});
-      m.has_crc = 1;
-      chargeChecksum(m.len);
-    }
+    const BlockMeta m = stagedMeta(off, bytes);
     appendBytes(per_node[dn], &m, sizeof(m));
     appendBytes(per_node[dn], bytes.data(), bytes.size());
   }
@@ -777,27 +769,12 @@ void File::nodeExchangeStagedWrites(mpi::CapturedError err) {
         };
         std::vector<Rec> recs;
         for (const auto& rb : blobs) {
-          std::size_t pos = 0;
-          while (pos < rb.data.size()) {
-            BlockMeta m;
-            TCIO_CHECK(pos + sizeof(m) <= rb.data.size());
-            std::memcpy(&m, rb.data.data() + pos, sizeof(m));
-            pos += sizeof(m);
-            TCIO_CHECK(pos + static_cast<std::size_t>(m.len) <=
-                       rb.data.size());
-            if (integrity_on_ && m.has_crc != 0) {
-              // Verify the rank -> source-leader hop before coalescing, so a
-              // flip in one contribution cannot hide inside a merged run.
-              ++stats_.integrity.crc_checks;
-              chargeChecksum(m.len);
-              if (crc32({rb.data.data() + pos,
-                         static_cast<std::size_t>(m.len)}) != m.crc) {
-                ++stats_.integrity.crc_mismatches;
-              }
-            }
-            recs.push_back({m.off, m.len, rb.data.data() + pos});
-            pos += static_cast<std::size_t>(m.len);
-          }
+          forEachBlock(rb.data, [&](const BlockMeta& m, const std::byte* p) {
+            // Verify the rank -> source-leader hop before coalescing, so a
+            // flip in one contribution cannot hide inside a merged run.
+            checkHop(m, p);
+            recs.push_back({m.off, m.len, p});
+          });
         }
         std::stable_sort(recs.begin(), recs.end(),
                          [](const Rec& a, const Rec& b) {
@@ -838,69 +815,25 @@ void File::nodeExchangeStagedWrites(mpi::CapturedError err) {
         }
         return out;
       };
-  const auto frames = node_agg_->exchange(per_node, coalesce);
+  auto frames = node_agg_->exchange(per_node, coalesce);
   // Destination leaders apply the received blocks into node-local owners'
   // windows — membus epochs, one per owner. Leader-local work: capture and
   // agree after the barrier below so a leader-side fault becomes the same
   // typed error on every rank instead of a wedged job.
   captureLocal(err, [&] {
     if (node_agg_->isActiveLeader()) {
-      std::map<Rank, std::vector<mpi::Window::PutBlock>> by_owner;
-      std::map<Rank, std::set<std::int64_t>> flagged;
-      std::set<SegmentId> applied_segs;
+      std::vector<SlotBlock> blocks;
       Bytes applied = 0;
-      for (const auto& from_node : frames) {
-        for (const auto& rb : from_node) {
-          std::size_t pos = 0;
-          while (pos < rb.data.size()) {
-            BlockMeta m;
-            TCIO_CHECK(pos + sizeof(m) <= rb.data.size());
-            std::memcpy(&m, rb.data.data() + pos, sizeof(m));
-            pos += sizeof(m);
-            TCIO_CHECK(pos + static_cast<std::size_t>(m.len) <=
-                       rb.data.size());
-            const SegmentId g = map_.segmentOf(m.off);
-            const Rank owner = ownerOf(g);  // window target: original rank
-            const std::int64_t slot = slotOnOwner(g);
-            if (integrity_on_ && m.has_crc != 0) {
-              // Verify the inter-node NIC hop at the destination leader;
-              // count a mismatch and apply anyway (the owner ledger repairs
-              // at the next verification pass).
-              ++stats_.integrity.crc_checks;
-              chargeChecksum(m.len);
-              if (crc32({rb.data.data() + pos,
-                         static_cast<std::size_t>(m.len)}) != m.crc) {
-                ++stats_.integrity.crc_mismatches;
-              }
-            }
-            auto& blocks = by_owner[owner];
-            if (flagged[owner].insert(slot).second) {
-              blocks.push_back({flagsDisp(slot, kDirtyFlag), &kFlagSet, 1});
-            }
-            blocks.push_back(
-                {dataDisp(slot, map_.dispOf(m.off)), rb.data.data() + pos,
-                 m.len});
-            pos += static_cast<std::size_t>(m.len);
+      for (auto& from_node : frames) {
+        for (auto& rb : from_node) {
+          forEachBlock(rb.data, [&](const BlockMeta& m, std::byte* p) {
+            checkHop(m, p);  // the inter-node NIC hop
+            blocks.push_back({m.off, m.len, p});
             applied += m.len;
-            applied_segs.insert(g);
-          }
+          });
         }
       }
-      if (check::Checker* ck = comm_->world().checker();
-          ck != nullptr && !applied_segs.empty()) {
-        comm_->proc().atomic([&] {
-          for (const SegmentId g : applied_segs) {
-            ck->onSegmentTransfer(name_, g, ownerOf(g),
-                                  "File::nodeExchangeStagedWrites");
-            ck->noteDirty(name_, g);
-          }
-        });
-      }
-      for (auto& [owner, blocks] : by_owner) {
-        window_->lock(mpi::LockType::kShared, owner);
-        window_->putIndexed(owner, blocks);
-        window_->unlock(owner);
-      }
+      putToOwners(blocks, "File::nodeExchangeStagedWrites");
       stats_.intranode_bytes += applied;
     }
   });
@@ -911,21 +844,17 @@ void File::nodeExchangeStagedWrites(mpi::CapturedError err) {
       node_agg_->stats().internode_puts - puts_before;
   stats_.intranode_bytes +=
       node_agg_->stats().intranode_bytes - membus_before;
-  comm_->memory().release(staged_bytes_);
-  staged_.clear();
-  staged_bytes_ = 0;
-  collectiveAgreeOnError(err);
 }
 
-void File::nodeAggregatedGather(std::vector<PendingRead>& reads) {
+void File::nodeAggregatedGather(std::vector<SlotBlock>& reads) {
   const int N = node_map_->numNodes();
   const auto sn = static_cast<std::size_t>(N);
   const Bytes membus_before = node_agg_->stats().intranode_bytes;
   // Requests travel to the node hosting each block's owner. Replies come
   // back in request order, so remember the order per serving node.
   std::vector<std::vector<std::byte>> req(sn);
-  std::vector<std::vector<PendingRead*>> order(sn);
-  for (PendingRead& r : reads) {
+  std::vector<std::vector<SlotBlock*>> order(sn);
+  for (SlotBlock& r : reads) {
     const auto dn = static_cast<std::size_t>(
         node_map_->nodeOf(curOf(ownerOf(map_.segmentOf(r.off)))));
     const BlockMeta m{r.off, r.len};
@@ -933,73 +862,55 @@ void File::nodeAggregatedGather(std::vector<PendingRead>& reads) {
     order[dn].push_back(&r);
   }
   const auto requests = node_agg_->exchange(req);
-  // Serving leaders answer from node-local owners' windows. Reply streams
-  // are framed per requester: [i32 requester][u64 len][bytes].
+  // Serving leaders answer from node-local owners' windows, one reply frame
+  // per requester (topo::appendFrameHeader, id = requester).
   std::vector<std::vector<std::byte>> replies(sn);
   if (node_agg_->isActiveLeader()) {
-    // Pass 1: lay out reply streams (headers + payload space) so the get
-    // blocks can point into stable storage.
-    struct Slice {
-      std::size_t node = 0;
-      std::size_t at = 0;  // payload start within replies[node]
-    };
-    std::vector<std::pair<BlockMeta, Slice>> wanted;
+    // Pass 1: lay out reply streams (header + payload space per requester
+    // frame) and collect the requested blocks in stream order.
+    std::vector<SlotBlock> blocks;
+    std::vector<std::size_t> starts;  // payload start of each frame
+    Bytes served = 0;
     for (std::size_t s = 0; s < sn; ++s) {
       for (const auto& rb : requests[s]) {
-        const std::size_t nb = rb.data.size() / sizeof(BlockMeta);
-        TCIO_CHECK(rb.data.size() == nb * sizeof(BlockMeta));
+        TCIO_CHECK(rb.data.size() % sizeof(BlockMeta) == 0);
         Bytes total = 0;
-        std::vector<BlockMeta> metas(nb);
-        for (std::size_t i = 0; i < nb; ++i) {
-          std::memcpy(&metas[i], rb.data.data() + i * sizeof(BlockMeta),
-                      sizeof(BlockMeta));
-          total += metas[i].len;
+        for (std::size_t at = 0; at < rb.data.size();
+             at += sizeof(BlockMeta)) {
+          BlockMeta m;
+          std::memcpy(&m, rb.data.data() + at, sizeof(m));
+          blocks.push_back({m.off, m.len, nullptr});
+          total += m.len;
         }
         auto& stream = replies[s];
-        const std::int32_t requester = rb.src;
-        const auto len64 = static_cast<std::uint64_t>(total);
-        appendBytes(stream, &requester, sizeof(requester));
-        appendBytes(stream, &len64, sizeof(len64));
-        std::size_t at = stream.size();
+        topo::appendFrameHeader(stream, rb.src,
+                                static_cast<std::uint64_t>(total));
+        starts.push_back(stream.size());
         stream.resize(stream.size() + static_cast<std::size_t>(total));
-        for (const BlockMeta& m : metas) {
-          wanted.push_back({m, {s, at}});
-          at += static_cast<std::size_t>(m.len);
+        served += total;
+      }
+    }
+    // Pass 2: the streams no longer grow, so each block can point at its
+    // bytes; then one shared-lock membus epoch per node-local owner.
+    auto b = blocks.begin();
+    auto start = starts.begin();
+    for (std::size_t s = 0; s < sn; ++s) {
+      for (const auto& rb : requests[s]) {
+        std::size_t at = *start++;
+        for (std::size_t i = 0; i < rb.data.size() / sizeof(BlockMeta);
+             ++i, ++b) {
+          b->buf = replies[s].data() + at;
+          at += static_cast<std::size_t>(b->len);
         }
       }
     }
-    // Pass 2: one shared-lock membus epoch per node-local owner.
-    std::map<Rank, std::vector<mpi::Window::GetBlock>> by_owner;
-    std::set<SegmentId> served_segs;
-    Bytes served = 0;
-    for (const auto& [m, slice] : wanted) {
-      const SegmentId g = map_.segmentOf(m.off);
-      by_owner[ownerOf(g)].push_back(
-          {dataDisp(slotOnOwner(g), map_.dispOf(m.off)),
-           replies[slice.node].data() + slice.at, m.len});
-      served += m.len;
-      served_segs.insert(g);
-    }
-    if (check::Checker* ck = comm_->world().checker();
-        ck != nullptr && !served_segs.empty()) {
-      comm_->proc().atomic([&] {
-        for (const SegmentId g : served_segs) {
-          ck->onSegmentTransfer(name_, g, ownerOf(g),
-                                "File::nodeAggregatedGather");
-        }
-      });
-    }
-    for (auto& [owner, blocks] : by_owner) {
-      window_->lock(mpi::LockType::kShared, owner);
-      window_->getIndexed(owner, blocks);
-      window_->unlock(owner);
-    }
+    getFromOwners(blocks, "File::nodeAggregatedGather");
     stats_.intranode_bytes += served;
   }
   const auto answers = node_agg_->exchange(replies);
-  // Leaders demux replies per requester; each fragment is wrapped
-  // [i32 serving node][u64 len][bytes] so the requester can route it to its
-  // per-node request list.
+  // Leaders demux replies per requester; each fragment is re-framed with
+  // id = serving node so the requester can route it to its per-node request
+  // list.
   const std::vector<Rank>& members =
       node_map_->ranksOnNode(node_map_->myNode());
   std::vector<std::vector<std::byte>> per_rank(members.size());
@@ -1010,54 +921,36 @@ void File::nodeAggregatedGather(std::vector<PendingRead>& reads) {
     }
     for (std::size_t s = 0; s < sn; ++s) {
       for (const auto& rb : answers[s]) {
-        std::size_t pos = 0;
-        while (pos < rb.data.size()) {
-          std::int32_t requester = 0;
-          std::uint64_t len = 0;
-          TCIO_CHECK(pos + sizeof(requester) + sizeof(len) <= rb.data.size());
-          std::memcpy(&requester, rb.data.data() + pos, sizeof(requester));
-          pos += sizeof(requester);
-          std::memcpy(&len, rb.data.data() + pos, sizeof(len));
-          pos += sizeof(len);
-          TCIO_CHECK(pos + len <= rb.data.size());
+        topo::forEachFrame(rb.data, [&](std::int32_t requester,
+                                        std::span<const std::byte> bytes) {
           auto& blob = per_rank[node_rank_of.at(requester)];
-          const auto sn32 = static_cast<std::int32_t>(s);
-          appendBytes(blob, &sn32, sizeof(sn32));
-          appendBytes(blob, &len, sizeof(len));
-          appendBytes(blob, rb.data.data() + pos, static_cast<std::size_t>(len));
-          pos += static_cast<std::size_t>(len);
-        }
+          topo::appendFrameHeader(blob, static_cast<std::int32_t>(s),
+                                  bytes.size());
+          appendBytes(blob, bytes.data(), bytes.size());
+        });
       }
     }
   }
   const std::vector<std::byte> mine =
       node_agg_->scatterToRanks(std::move(per_rank));
   // Route each serving node's answer bytes to the recorded reads in order.
-  std::size_t pos = 0;
   std::vector<std::size_t> next(sn, 0);
-  while (pos < mine.size()) {
-    std::int32_t serving = 0;
-    std::uint64_t len = 0;
-    TCIO_CHECK(pos + sizeof(serving) + sizeof(len) <= mine.size());
-    std::memcpy(&serving, mine.data() + pos, sizeof(serving));
-    pos += sizeof(serving);
-    std::memcpy(&len, mine.data() + pos, sizeof(len));
-    pos += sizeof(len);
-    TCIO_CHECK(pos + len <= mine.size());
+  topo::forEachFrame(mine, [&](std::int32_t serving,
+                               std::span<const std::byte> bytes) {
+    TCIO_CHECK(serving >= 0 && static_cast<std::size_t>(serving) < sn);
     const auto s = static_cast<std::size_t>(serving);
-    std::uint64_t used = 0;
-    while (used < len) {
+    std::size_t used = 0;
+    while (used < bytes.size()) {
       TCIO_CHECK_MSG(next[s] < order[s].size(),
                      "node-aggregated reply exceeds recorded reads");
-      PendingRead* r = order[s][next[s]++];
-      TCIO_CHECK(used + static_cast<std::uint64_t>(r->len) <= len);
-      std::memcpy(r->dst, mine.data() + pos + used,
+      SlotBlock* r = order[s][next[s]++];
+      TCIO_CHECK(used + static_cast<std::size_t>(r->len) <= bytes.size());
+      std::memcpy(r->buf, bytes.data() + used,
                   static_cast<std::size_t>(r->len));
-      used += static_cast<std::uint64_t>(r->len);
+      used += static_cast<std::size_t>(r->len);
     }
-    pos += static_cast<std::size_t>(len);
-    comm_->chargeCopy(static_cast<Bytes>(len));
-  }
+    comm_->chargeCopy(static_cast<Bytes>(bytes.size()));
+  });
   for (std::size_t s = 0; s < sn; ++s) {
     TCIO_CHECK_MSG(next[s] == order[s].size(),
                    "node-aggregated gather left reads unanswered");
@@ -1548,12 +1441,7 @@ void File::replayOrphans(
       }
     } else {
       local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
-      if (ck != nullptr) {
-        comm_->proc().atomic([&] {
-          ck->onSegmentTransfer(name_, g, orig_rank_, "File::replayOrphans");
-          ck->noteDirty(name_, g);
-        });
-      }
+      noteTransfers({g}, "File::replayOrphans", /*dirty=*/true, orig_rank_);
     }
   }
 }
@@ -1562,8 +1450,7 @@ void File::replayOrphans(
 
 void File::chargeChecksum(Bytes n) {
   if (n <= 0) return;
-  comm_->proc().advance(static_cast<double>(n) /
-                        cfg_.integrity.checksum_bandwidth);
+  comm_->proc().advance(static_cast<double>(n) / kChecksumBandwidth);
 }
 
 void File::digestLevel1(SegmentId seg, const std::vector<Extent>& extents) {
@@ -1591,81 +1478,22 @@ void File::digestLevel1(SegmentId seg, const std::vector<Extent>& extents) {
 
 void File::exchangeDigests() {
   if (!integrity_on_) return;
-  if (cfg_.crash.enabled) {
-    // Crash mode ships every rank's pending digests to every rank; each
-    // keeps the records for segments it owns. The broadcast survives crash
-    // takeovers, where ownership just changed under the writers' feet —
-    // whoever ends up owning a segment has its records.
-    static const std::byte dummy{};
-    const void* mine = pending_digests_.empty()
-                           ? static_cast<const void*>(&dummy)
-                           : static_cast<const void*>(pending_digests_.data());
-    std::vector<std::vector<std::byte>> all;
-    comm_->allgatherv(
-        mine,
-        static_cast<Bytes>(pending_digests_.size() * sizeof(DigestRec)), all);
-    pending_digests_.clear();
-    for (const auto& blob : all) {
-      const auto* recs = reinterpret_cast<const DigestRec*>(blob.data());
-      const std::size_t n = blob.size() / sizeof(DigestRec);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (ownerOf(recs[i].seg) == orig_rank_) {
-          ledger_[recs[i].seg].insert(recs[i].run);
-        }
-      }
-    }
-    return;
-  }
-  // Static ownership: route every record straight to its segment's owner.
-  // Fine-grained workloads produce one record per tiny strided extent, so a
-  // broadcast would put P copies of an already metadata-heavy stream on the
-  // NIC — the routed exchange is what keeps the integrity tax inside the
-  // bench_ablation_integrity budget.
-  const int P = comm_->size();
-  std::vector<Bytes> sendcounts(static_cast<std::size_t>(P), 0);
+  // Route every record straight to its segment's current owner: a broadcast
+  // would put P copies of an already metadata-heavy stream on the NIC. Each
+  // owner receives its records in source-rank order, then pending order.
+  std::vector<std::vector<std::byte>> per_owner(
+      static_cast<std::size_t>(comm_->size()));
   for (const DigestRec& r : pending_digests_) {
-    sendcounts[static_cast<std::size_t>(curOf(ownerOf(r.seg)))] +=
-        static_cast<Bytes>(sizeof(DigestRec));
-  }
-  std::vector<Offset> senddispls(static_cast<std::size_t>(P), 0);
-  for (int d = 1; d < P; ++d) {
-    senddispls[static_cast<std::size_t>(d)] =
-        senddispls[static_cast<std::size_t>(d - 1)] +
-        sendcounts[static_cast<std::size_t>(d - 1)];
-  }
-  std::vector<std::byte> sendbuf(
-      pending_digests_.size() * sizeof(DigestRec));
-  {
-    std::vector<Offset> cursor = senddispls;
-    for (const DigestRec& r : pending_digests_) {
-      Offset& at = cursor[static_cast<std::size_t>(curOf(ownerOf(r.seg)))];
-      std::memcpy(sendbuf.data() + at, &r, sizeof(DigestRec));
-      at += static_cast<Offset>(sizeof(DigestRec));
-    }
+    appendBytes(per_owner[static_cast<std::size_t>(curOf(ownerOf(r.seg)))],
+                &r, sizeof(r));
   }
   pending_digests_.clear();
-  // Count exchange first (the usual two-phase recipe): every rank learns
-  // how many bytes arrive from each peer.
-  std::vector<Bytes> matrix(static_cast<std::size_t>(P) *
-                            static_cast<std::size_t>(P));
-  comm_->allgather(sendcounts.data(),
-                   static_cast<Bytes>(P * sizeof(Bytes)), matrix.data());
-  std::vector<Bytes> recvcounts(static_cast<std::size_t>(P), 0);
-  std::vector<Offset> recvdispls(static_cast<std::size_t>(P), 0);
-  Bytes total = 0;
-  for (int s = 0; s < P; ++s) {
-    recvcounts[static_cast<std::size_t>(s)] =
-        matrix[static_cast<std::size_t>(s) * static_cast<std::size_t>(P) +
-               static_cast<std::size_t>(comm_->rank())];
-    recvdispls[static_cast<std::size_t>(s)] = total;
-    total += recvcounts[static_cast<std::size_t>(s)];
-  }
-  std::vector<std::byte> recvbuf(static_cast<std::size_t>(total));
-  comm_->alltoallv(sendbuf.data(), sendcounts, senddispls, recvbuf.data(),
-                   recvcounts, recvdispls);
-  const auto* recs = reinterpret_cast<const DigestRec*>(recvbuf.data());
-  for (std::size_t i = 0; i < recvbuf.size() / sizeof(DigestRec); ++i) {
-    ledger_[recs[i].seg].insert(recs[i].run);
+  const mpi::ExchangedBytes got = comm_->exchangeBytes(per_owner);
+  TCIO_CHECK(got.data.size() % sizeof(DigestRec) == 0);
+  for (std::size_t at = 0; at < got.data.size(); at += sizeof(DigestRec)) {
+    DigestRec r;
+    std::memcpy(&r, got.data.data() + at, sizeof(r));
+    ledger_[r.seg].insert(r.run);
   }
 }
 

@@ -24,6 +24,8 @@
 
 #include <map>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -251,10 +253,24 @@ class File {
     return flags_region_ + slot * cfg_.segment_size + in_seg;
   }
 
-  struct PendingRead {
+  /// One block of a level-2 transfer: `len` bytes at file offset `off`,
+  /// inside one segment, taken from `buf` (put) or landing in it (get). A
+  /// pending read waits in this form until it is fetched.
+  struct SlotBlock {
     Offset off = 0;
     Bytes len = 0;
-    std::byte* dst = nullptr;
+    std::byte* buf = nullptr;
+  };
+
+  /// Header of one staged block on the wire: `len` bytes at absolute file
+  /// offset `off`, digested at staging time when `has_crc` is set. Staged
+  /// write streams carry [BlockMeta][payload] records back to back; read
+  /// requests carry bare BlockMetas with no digest.
+  struct BlockMeta {
+    Offset off = 0;
+    Bytes len = 0;
+    std::uint32_t crc = 0;
+    std::uint32_t has_crc = 0;
   };
 
   void writeBytes(Offset off, const std::byte* src, Bytes n);
@@ -265,12 +281,35 @@ class File {
   void flushLevel1();
 
   /// Independent materialization of `reads` (all in one segment group).
-  void independentFetch(std::vector<PendingRead> reads);
+  void independentFetch(std::vector<SlotBlock> reads);
   /// Collective materialization of all pending reads.
   void collectiveFetch();
-  /// One-sided gets for pending reads, grouped per owner (assumes segments
-  /// are resident in level-2).
-  void gatherPending(std::vector<PendingRead>& reads);
+
+  /// The one-sided level-2 transfer every path shares: groups `blocks` by
+  /// current owner, reports them to the runtime checker under `site`, then
+  /// runs one shared-lock epoch per owner, owners in ascending order. A put
+  /// sets each slot's dirty flag together with that slot's first block. A
+  /// get assumes the segments are resident.
+  void putToOwners(const std::vector<SlotBlock>& blocks, const char* site);
+  void getFromOwners(const std::vector<SlotBlock>& blocks, const char* site);
+  /// Reports level-2 transfers of `segs` to the runtime checker, each
+  /// landing in the window of `dest` (an original rank; -1 for the segment's
+  /// current owner), and with `dirty` marks them for drain coverage. No-op
+  /// without the checker.
+  void noteTransfers(const std::set<SegmentId>& segs, const char* site,
+                     bool dirty, Rank dest = -1);
+
+  /// Header of staged block [off, off + bytes.size()), digested (and the
+  /// digest charged) when integrity is on.
+  BlockMeta stagedMeta(Offset off, std::span<const std::byte> bytes);
+  /// Verifies one hop of a staged block against its staging-time digest:
+  /// counts and charges the check, counts a mismatch. The block is applied
+  /// anyway — the owner ledger is the detect-and-repair point.
+  void checkHop(const BlockMeta& m, const std::byte* payload);
+  /// Calls fn(meta, payload) for each [BlockMeta][payload] record of
+  /// `stream`, bounds-checked.
+  template <class Stream, class Fn>
+  static void forEachBlock(Stream& stream, Fn&& fn);
 
   /// The head every collective point shares (flush, fetch, close): the
   /// level-1 residue flush, then the agreement on its outcome, then the
@@ -284,23 +323,24 @@ class File {
   /// on a readable file it leaves the fallback decision to the fetch head.
   void flushAndAgree(mpi::CapturedError& err, mpi::CapturedError* verdict);
   /// Runs the staged exchange when the transfer mode has one (two-sided or
-  /// node-aggregated), consuming `err` into its closing agreement; leaves
-  /// `err` alone on the one-sided path, which has nothing staged.
+  /// node-aggregated), then releases the staging area and agrees `err`
+  /// together with the apply step's outcome; leaves `err` alone on the
+  /// one-sided path, which has nothing staged.
   void exchangeStaged(mpi::CapturedError& err);
 
   /// Two-sided ablation: exchange staged writes via alltoallv (collective).
-  /// `err` is the caller's pending failure, agreed with the apply step's.
-  void exchangeStagedWrites(mpi::CapturedError err);
+  /// An apply failure is captured into `err`.
+  void exchangeStagedWrites(mpi::CapturedError& err);
 
   /// Node-aggregation write path (collective): staged writes funnel through
   /// node leaders; destination leaders apply them into node-local owners'
   /// windows over the memory bus. `err` as for exchangeStagedWrites.
-  void nodeExchangeStagedWrites(mpi::CapturedError err);
+  void nodeExchangeStagedWrites(mpi::CapturedError& err);
 
   /// Node-aggregation read path (collective): pending-read requests and
   /// replies travel leader-to-leader; assumes the owner-load phase of
   /// collectiveFetch() made every needed segment resident.
-  void nodeAggregatedGather(std::vector<PendingRead>& reads);
+  void nodeAggregatedGather(std::vector<SlotBlock>& reads);
 
   /// Ensures the segment holding `off`..`off+n` is resident in its owner's
   /// window (independent path; reader loads from FS if needed). `scratch` is
@@ -420,10 +460,11 @@ class File {
   /// time, before any hop can corrupt them), coalescing contiguous or
   /// constant-stride neighbours into runs.
   void digestLevel1(SegmentId seg, const std::vector<Extent>& extents);
-  /// Collective: moves every rank's pending digests to the segment owners —
-  /// routed point-to-point under static ownership, broadcast in crash mode
-  /// (takeovers change ownership under the writers' feet). Aligned with the
-  /// flush / fetch / close exchanges, so it works in every transfer mode.
+  /// Collective: routes every rank's pending digests to the current owners
+  /// of their segments. Every call follows its collective point's agreement
+  /// (the liveness round in crash mode), so takeovers are already applied.
+  /// Aligned with the flush / fetch / close exchanges, so it works in every
+  /// transfer mode.
   void exchangeDigests();
   /// Verifies every ledgered extent of owned slot `slot` (segment `g`)
   /// against the window bytes; repairs from the WAL on mismatch; throws
@@ -462,7 +503,7 @@ class File {
   std::unique_ptr<topo::NodeMap> node_map_;
   std::unique_ptr<topo::NodeAggregator> node_agg_;
   Level1Buffer level1_;
-  std::vector<PendingRead> pending_reads_;
+  std::vector<SlotBlock> pending_reads_;
   SegmentId pending_segment_ = -1;  // lazy-read segment group
   /// Two-sided ablation staging: (absolute offset, bytes).
   std::vector<std::pair<Offset, std::vector<std::byte>>> staged_;

@@ -19,11 +19,6 @@ void appendRaw(std::vector<std::byte>& out, const void* src, std::size_t n) {
 }
 
 template <typename T>
-void appendValue(std::vector<std::byte>& out, T v) {
-  appendRaw(out, &v, sizeof(T));
-}
-
-template <typename T>
 T readValue(const std::byte* p) {
   T v;
   std::memcpy(&v, p, sizeof(T));
@@ -107,8 +102,7 @@ std::vector<std::vector<std::byte>> NodeAggregator::gatherToLeader(
       const Bytes len = sizes[d];
       if (len == 0) continue;
       auto& stream = streams[d];
-      appendValue<std::int32_t>(stream, src);
-      appendValue<std::uint64_t>(stream, static_cast<std::uint64_t>(len));
+      appendFrameHeader(stream, src, static_cast<std::uint64_t>(len));
       if (q == root) {
         appendRaw(stream, per_node[d].data(),
                   static_cast<std::size_t>(len));
@@ -121,28 +115,40 @@ std::vector<std::vector<std::byte>> NodeAggregator::gatherToLeader(
   return streams;
 }
 
-namespace {
+void appendFrameHeader(std::vector<std::byte>& out, std::int32_t id,
+                       std::uint64_t len) {
+  appendRaw(out, &id, sizeof(id));
+  appendRaw(out, &len, sizeof(len));
+}
 
-/// Parses a per-rank framed stream into (src, blob) frames.
-std::vector<NodeAggregator::RankBlob> parseFrames(
-    const std::vector<std::byte>& stream) {
-  std::vector<NodeAggregator::RankBlob> frames;
+void forEachFrame(
+    std::span<const std::byte> stream,
+    const std::function<void(std::int32_t, std::span<const std::byte>)>& fn) {
   std::size_t pos = 0;
   while (pos < stream.size()) {
     TCIO_CHECK_MSG(pos + sizeof(std::int32_t) + sizeof(std::uint64_t) <=
                        stream.size(),
                    "truncated node-aggregation frame header");
-    NodeAggregator::RankBlob frame;
-    frame.src = readValue<std::int32_t>(stream.data() + pos);
+    const auto id = readValue<std::int32_t>(stream.data() + pos);
     pos += sizeof(std::int32_t);
     const auto len = readValue<std::uint64_t>(stream.data() + pos);
     pos += sizeof(std::uint64_t);
-    TCIO_CHECK_MSG(pos + len <= stream.size(),
+    TCIO_CHECK_MSG(len <= stream.size() - pos,
                    "truncated node-aggregation frame payload");
-    frame.data.assign(stream.data() + pos, stream.data() + pos + len);
-    pos += len;
-    frames.push_back(std::move(frame));
+    fn(id, stream.subspan(pos, static_cast<std::size_t>(len)));
+    pos += static_cast<std::size_t>(len);
   }
+}
+
+namespace {
+
+/// The (source rank, blob) frames of a per-rank framed stream.
+std::vector<NodeAggregator::RankBlob> parseFrames(
+    const std::vector<std::byte>& stream) {
+  std::vector<NodeAggregator::RankBlob> frames;
+  forEachFrame(stream, [&](std::int32_t src, std::span<const std::byte> p) {
+    frames.push_back({src, {p.begin(), p.end()}});
+  });
   return frames;
 }
 

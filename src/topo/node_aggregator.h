@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -132,5 +133,15 @@ class NodeAggregator {
   std::unique_ptr<mpi::Window> staging_;
   NodeAggStats stats_;
 };
+
+/// Per-rank frame format of node-aggregation streams: [i32 id][u64 len]
+/// [payload]. Appends one frame header to `out`; `len` payload bytes follow.
+void appendFrameHeader(std::vector<std::byte>& out, std::int32_t id,
+                       std::uint64_t len);
+/// Calls fn(id, payload) for each frame of a framed stream, in order. The
+/// payload views `stream` (no copy); a truncated frame fails a check.
+void forEachFrame(
+    std::span<const std::byte> stream,
+    const std::function<void(std::int32_t, std::span<const std::byte>)>& fn);
 
 }  // namespace tcio::topo

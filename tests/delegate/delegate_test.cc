@@ -3,6 +3,7 @@
 // delegate crash with shard adoption, determinism, and the churn workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -163,6 +164,87 @@ TEST(DelegateSessionTest, ShardRoutingSkipsTheDead) {
     EXPECT_EQ(s.liveDelegates(), (std::vector<int>{0, 2}));
     // Every rank participated in the collective ctor; nothing to serve.
   });
+}
+
+TEST(DelegateSessionTest, GetLoadsFromDiskAndDirtyBytesWin) {
+  fs::Filesystem fsys(fsCfg());
+  const std::vector<std::byte> old0 = clientBlock(0, 0, kSegment);
+  const std::vector<std::byte> old1 = clientBlock(0, kSegment, kSegment);
+  const std::vector<std::byte> fresh = clientBlock(1, 100, 64);
+  mpi::runJob(job(2), [&](mpi::Comm& comm) {
+    const core::TcioConfig cfg = delegated(/*d=*/1);
+    // Session 1 puts two whole segments on disk.
+    runSession(comm, fsys, cfg, [&](Session&, Channel& ch) {
+      DFile f(ch, "reload.dat", fs::kWrite | fs::kCreate);
+      f.writeAt(0, old0);
+      f.writeAt(kSegment, old1);
+      EXPECT_EQ(f.close(), 2 * kSegment);
+    });
+    // Session 2 starts with an empty shard: its gets must fault the disk
+    // image in, under the bytes it has already overwritten.
+    runSession(comm, fsys, cfg, [&](Session&, Channel& ch) {
+      DFile f(ch, "reload.dat", fs::kRead | fs::kWrite);
+      f.writeAt(100, fresh);
+      std::vector<std::byte> seg0(static_cast<std::size_t>(kSegment));
+      f.readAt(0, seg0);
+      std::vector<std::byte> want0 = old0;
+      std::copy(fresh.begin(), fresh.end(), want0.begin() + 100);
+      EXPECT_EQ(seg0, want0);
+      std::vector<std::byte> seg1(static_cast<std::size_t>(kSegment));
+      f.readAt(kSegment, seg1);
+      EXPECT_EQ(seg1, old1);
+      f.close();
+    });
+  });
+  std::vector<std::byte> want = old0;
+  std::copy(fresh.begin(), fresh.end(), want.begin() + 100);
+  EXPECT_EQ(peekBytes(fsys, "reload.dat", 0, kSegment), want);
+  EXPECT_EQ(peekBytes(fsys, "reload.dat", kSegment, kSegment), old1);
+}
+
+TEST(DelegateSessionTest, ManyExtentPutAndGetSplitIntoChunks) {
+  // One segment holds more extents than one descriptor may carry, so the
+  // put splits on kMaxWireExtents; a get of overlapping extents asks for
+  // more bytes than a staging frame holds, so it splits on the frame too.
+  constexpr Bytes kBig = 4096;
+  constexpr std::int64_t kPieces = kMaxWireExtents + 476;
+  fs::Filesystem fsys(fsCfg());
+  core::TcioDelegateStats stats;
+  mpi::runJob(job(2), [&](mpi::Comm& comm) {
+    core::TcioConfig cfg = delegated(/*d=*/1);
+    cfg.segment_size = kBig;
+    runSession(comm, fsys, cfg, [&](Session&, Channel& ch) {
+      const std::uint64_t key = fileKey("extents.dat");
+      ch.open("extents.dat", fs::kRead | fs::kWrite | fs::kCreate);
+      // One-byte extents at every even offset of segment 0.
+      std::vector<WireExtent> puts;
+      std::vector<std::byte> payload;
+      for (std::int64_t i = 0; i < kPieces; ++i) {
+        puts.push_back({0, 2 * i, 2 * i + 1});
+        payload.push_back(expected(0, 2 * i));
+      }
+      ch.put(key, puts, payload);
+      std::vector<std::byte> back(payload.size());
+      ch.get(key, puts, back.data());
+      EXPECT_EQ(back, payload);
+      // Eight-byte windows that overlap: 700 x 8 bytes > one 4 KiB frame.
+      std::vector<WireExtent> gets;
+      std::vector<std::byte> want;
+      for (std::int64_t i = 0; i < 700; ++i) {
+        const Offset b = 2 * i;
+        gets.push_back({0, b, b + 8});
+        for (Offset o = b; o < b + 8; ++o) {
+          want.push_back(o % 2 == 0 ? expected(0, o) : std::byte{0});
+        }
+      }
+      std::vector<std::byte> got(want.size());
+      ch.get(key, gets, got.data());
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(ch.closeFile(key), 2 * (kPieces - 1) + 1);
+    }, &stats);
+  });
+  // put: 1024 + 476 extents; first get: the same; second get: 512 + 188.
+  EXPECT_EQ(stats.submissions, 6);
 }
 
 // -- Admission control ---------------------------------------------------------

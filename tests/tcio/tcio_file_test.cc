@@ -331,6 +331,43 @@ TEST(TcioFileTest, TwoSidedReadFetch) {
   });
 }
 
+TEST(TcioFileTest, ReadOfUnflushedWriteSeesIt) {
+  // A read of the segment level 1 still holds flushes level 1 first, on
+  // every transfer path: the read must see the session's own write.
+  struct Path {
+    const char* name;
+    bool onesided;
+    bool lazy;
+    bool node_agg;
+  };
+  for (const Path path : {Path{"one-sided", true, true, false},
+                          Path{"two-sided", false, true, false},
+                          Path{"node-aggregated", true, true, true},
+                          Path{"eager", true, false, false}}) {
+    SCOPED_TRACE(path.name);
+    fs::Filesystem fsys(fsCfg());
+    mpi::JobConfig jc = job(4);
+    jc.net.ranks_per_node = 2;
+    mpi::runJob(jc, [&](mpi::Comm& comm) {
+      TcioConfig cfg = smallTcio();
+      cfg.use_onesided = path.onesided;
+      cfg.lazy_reads = path.lazy;
+      cfg.node_aggregation = path.node_agg;
+      File f(comm, fsys, "unflushed.dat",
+             fs::kRead | fs::kWrite | fs::kCreate, cfg);
+      const std::int64_t v = comm.rank() + 900;
+      f.writeAt(comm.rank() * 8, &v, 8);
+      EXPECT_EQ(f.stats().level1_flushes, 0);
+      std::int64_t got = -1;
+      f.readAt(comm.rank() * 8, &got, 8);
+      EXPECT_EQ(f.stats().level1_flushes, 1);
+      f.fetch();
+      EXPECT_EQ(got, v);
+      f.close();
+    });
+  }
+}
+
 TEST(TcioFileTest, CapacityOverflowRejected) {
   fs::Filesystem fsys(fsCfg());
   EXPECT_THROW(

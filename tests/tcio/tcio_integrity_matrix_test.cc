@@ -52,7 +52,13 @@ std::vector<std::byte> referenceFile() {
 enum class Mode { kOneSided, kTwoSided, kNodeAgg };
 
 struct IntegrityParam {
+  IntegrityParam(CorruptSite s, Mode m, bool c = false)
+      : site(s), crash(c), mode(m) {}
   CorruptSite site;
+  /// Crash tolerance on (liveness agreement at every collective point, no
+  /// crash armed). Declared before `mode` so it fills padding: gtest prints
+  /// the parameter's size in the test names.
+  bool crash;
   Mode mode;
 };
 
@@ -70,10 +76,10 @@ std::string paramName(const ::testing::TestParamInfo<IntegrityParam>& info) {
     case Mode::kTwoSided: m = "_twosided"; break;
     case Mode::kNodeAgg: m = "_nodeagg"; break;
   }
-  return std::string(s) + m;
+  return std::string(s) + m + (info.param.crash ? "_crash" : "");
 }
 
-TcioConfig integrityCfg(Mode mode, std::uint64_t seed) {
+TcioConfig integrityCfg(Mode mode, std::uint64_t seed, bool crash = false) {
   TcioConfig cfg;
   cfg.segment_size = kSegment;
   cfg.segments_per_rank = kSegsPerRank;
@@ -82,6 +88,7 @@ TcioConfig integrityCfg(Mode mode, std::uint64_t seed) {
   cfg.node_aggregation = mode == Mode::kNodeAgg;
   cfg.integrity.enabled = 1;  // pinned on regardless of TCIO_INTEGRITY
   cfg.faults.seed = seed;
+  cfg.crash.enabled = crash;
   return cfg;
 }
 
@@ -157,7 +164,13 @@ INSTANTIATE_TEST_SUITE_P(
         IntegrityParam{CorruptSite::kStagingFrame, Mode::kNodeAgg},
         IntegrityParam{CorruptSite::kWindow, Mode::kOneSided},
         IntegrityParam{CorruptSite::kWindow, Mode::kTwoSided},
-        IntegrityParam{CorruptSite::kWindow, Mode::kNodeAgg}),
+        IntegrityParam{CorruptSite::kWindow, Mode::kNodeAgg},
+        IntegrityParam{CorruptSite::kStagingFrame, Mode::kOneSided, true},
+        IntegrityParam{CorruptSite::kStagingFrame, Mode::kTwoSided, true},
+        IntegrityParam{CorruptSite::kStagingFrame, Mode::kNodeAgg, true},
+        IntegrityParam{CorruptSite::kWindow, Mode::kOneSided, true},
+        IntegrityParam{CorruptSite::kWindow, Mode::kTwoSided, true},
+        IntegrityParam{CorruptSite::kWindow, Mode::kNodeAgg, true}),
     paramName);
 
 TEST_P(TcioIntegrityMatrixTest, DetectsRepairsAndMatchesCleanRun) {
@@ -167,11 +180,12 @@ TEST_P(TcioIntegrityMatrixTest, DetectsRepairsAndMatchesCleanRun) {
   const auto seed =
       static_cast<std::uint64_t>(envInt64("TCIO_FAULT_SEED", 29));
 
-  TcioConfig corrupt_cfg = integrityCfg(p.mode, seed);
+  TcioConfig corrupt_cfg = integrityCfg(p.mode, seed, p.crash);
   corrupt_cfg.faults.corruptions.push_back({kVictim, p.site, /*after=*/0});
   const RunResult corrupt = runWrite(corrupt_cfg, seed);
 
-  const RunResult clean = runWrite(integrityCfg(p.mode, seed), seed);
+  const RunResult clean =
+      runWrite(integrityCfg(p.mode, seed, p.crash), seed);
 
   // The flip was detected and repaired before the drain; nobody errored.
   for (int r = 0; r < kProcs; ++r) {
