@@ -1,13 +1,14 @@
 #!/bin/bash
 # Correctness-checking CI tier: clang-tidy static analysis over src/, the
 # full test suite with the runtime checker attached (TCIO_CHECK=1, see
-# src/check/ and DESIGN.md §9), then a Release build and suite. The
-# clang-tidy pass is STRICT — findings fail the job — when the pinned major
-# version (TCIO_TIDY_VERSION) is what runs: check sets drift across majors,
-# so only the pinned toolchain's verdict is authoritative. A runner with a
-# different clang-tidy runs it advisory; a runner with none skips the pass
-# (the runtime tier below is always the gate). TCIO_TIDY_STRICT=0/1
-# force-overrides the version-derived default.
+# src/check/ and DESIGN.md §9), then a Release build and suite, run again
+# with integrity on and with integrity plus delegates resolved from the
+# environment. The clang-tidy pass is STRICT — findings fail the job — when
+# the pinned major version (TCIO_TIDY_VERSION) is what runs: check sets
+# drift across majors, so only the pinned toolchain's verdict is
+# authoritative. A runner with a different clang-tidy runs it advisory; a
+# runner with none skips the pass (the runtime tier below is always the
+# gate). TCIO_TIDY_STRICT=0/1 force-overrides the version-derived default.
 #
 #   TCIO_CHECK_BUILD    build directory (default build-check)
 #   TCIO_TIDY_VERSION   pinned clang-tidy major version (default 18)
@@ -110,5 +111,16 @@ cmake -B "$REL_BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$REL_BUILD" -j "$(nproc)"
 ctest --test-dir "$REL_BUILD" --output-on-failure -j "$(nproc)"
 
-echo "ci_check: OK (tidy rc=$tidy_rc, checker-enabled suite and Release" \
-  "suite green)"
+# -- Environment modes ---------------------------------------------------------
+# Every test that defers to the environment picks these up: end-to-end
+# integrity (DESIGN.md §11) on every File, and delegate-resolved churn
+# workloads (DESIGN.md §10) with integrity on at the delegates too.
+echo "== Release test suite under TCIO_INTEGRITY=1 =="
+TCIO_INTEGRITY=1 ctest --test-dir "$REL_BUILD" --output-on-failure \
+  -j "$(nproc)"
+echo "== Release test suite under TCIO_INTEGRITY=1 TCIO_DELEGATES=2 =="
+TCIO_INTEGRITY=1 TCIO_DELEGATES=2 ctest --test-dir "$REL_BUILD" \
+  --output-on-failure -j "$(nproc)"
+
+echo "ci_check: OK (tidy rc=$tidy_rc, checker-enabled suite, Release" \
+  "suite and its TCIO_INTEGRITY / TCIO_DELEGATES legs green)"

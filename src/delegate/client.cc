@@ -6,7 +6,6 @@
 #include "common/crc32.h"
 #include "common/error.h"
 #include "mpi/agreement.h"
-#include "mpi/datatype.h"
 #include "sim/backoff.h"
 
 namespace tcio::delegate {
@@ -427,12 +426,7 @@ void Channel::resubmitDeferred() {
 
 DFile::DFile(Channel& ch, std::string name, unsigned flags)
     : ch_(&ch), s_(&ch.session()), name_(std::move(name)),
-      key_(fileKey(name_)),
-      forwarding_(s_->config().node_aggregation) {
-  if (forwarding_) {
-    node_comm_ = std::make_unique<mpi::Comm>(
-        s_->clientComm().splitByNode(/*key=*/0));
-  }
+      key_(fileKey(name_)) {
   ch_->open(name_, flags);
 }
 
@@ -448,34 +442,16 @@ void DFile::writeAt(Offset off, std::span<const std::byte> data) {
     const Offset in_seg = pos - g * seg_size;
     const Bytes take = std::min<Bytes>(
         seg_size - in_seg, static_cast<Bytes>(data.size() - done));
-    putSpan(g, in_seg, data.subspan(done, static_cast<std::size_t>(take)));
+    const std::span<const std::byte> piece =
+        data.subspan(done, static_cast<std::size_t>(take));
+    ch_->put(key_, {{g, in_seg, in_seg + take}}, {piece.begin(), piece.end()});
     pos += take;
     done += static_cast<std::size_t>(take);
   }
 }
 
-void DFile::putSpan(SegmentId g, Offset begin_in_seg,
-                    std::span<const std::byte> bytes) {
-  const Offset end_in_seg = begin_in_seg + static_cast<Bytes>(bytes.size());
-  if (forwarding_) {
-    StagedSeg& ss = staged_[g];
-    if (ss.data.empty()) {
-      ss.data.assign(static_cast<std::size_t>(s_->config().segment_size),
-                     std::byte{0});
-    }
-    std::memcpy(ss.data.data() + begin_in_seg, bytes.data(), bytes.size());
-    ss.extents.push_back({begin_in_seg, end_in_seg});
-    return;
-  }
-  ch_->put(key_, {{g, begin_in_seg, end_in_seg}},
-           {bytes.begin(), bytes.end()});
-}
-
 void DFile::readAt(Offset off, std::span<std::byte> out) {
   TCIO_CHECK(!closed_);
-  TCIO_CHECK_MSG(staged_.empty(),
-                 "forwarding mode: flush() before readAt — staged writes "
-                 "are not visible to the delegates yet");
   const Bytes seg_size = s_->config().segment_size;
   Offset pos = off;
   std::size_t done = 0;
@@ -492,87 +468,9 @@ void DFile::readAt(Offset off, std::span<std::byte> out) {
 
 void DFile::flush() {
   TCIO_CHECK(!closed_);
-  if (forwarding_) {
-    funnelToLeader();
-    return;
-  }
   ch_->resolveFailures();
   ch_->flushDelegates(key_);
   ch_->resolveFailures();
-}
-
-void DFile::funnelToLeader() {
-  mpi::Comm& node = *node_comm_;
-  const Bytes seg_size = s_->config().segment_size;
-  const bool integrity_on = core::integrityEnabled(s_->config());
-  // One message per merged run: [seg][begin][end][crc][payload]; seg -1 ends
-  // the stream (crc is 0 with integrity off). The leader overlays peers' runs
-  // onto its own staging and then submits one coalesced put stream per
-  // segment.
-  if (node.rank() != 0) {
-    for (auto& [g, ss] : staged_) {
-      for (const Extent& run : mpi::normalizeOverlapping(ss.extents)) {
-        std::vector<std::byte> msg(4 * sizeof(std::int64_t) +
-                                   static_cast<std::size_t>(run.size()));
-        const std::int64_t head[4] = {
-            g, run.begin, run.end,
-            integrity_on
-                ? crc32({ss.data.data() + run.begin,
-                         static_cast<std::size_t>(run.size())})
-                : 0};
-        std::memcpy(msg.data(), head, sizeof(head));
-        std::memcpy(msg.data() + sizeof(head), ss.data.data() + run.begin,
-                    static_cast<std::size_t>(run.size()));
-        node.send(msg.data(), static_cast<Bytes>(msg.size()), 0, kFunnelTag);
-      }
-    }
-    const std::int64_t fin[4] = {-1, 0, 0, 0};
-    node.send(fin, sizeof(fin), 0, kFunnelTag);
-    staged_.clear();
-  } else {
-    std::vector<std::byte> buf(4 * sizeof(std::int64_t) +
-                               static_cast<std::size_t>(seg_size));
-    for (int peer = 1; peer < node.size(); ++peer) {
-      for (;;) {
-        const mpi::RecvStatus st = node.recv(
-            buf.data(), static_cast<Bytes>(buf.size()), peer, kFunnelTag);
-        std::int64_t head[4];
-        std::memcpy(head, buf.data(), sizeof(head));
-        if (head[0] < 0) break;
-        StagedSeg& ss = staged_[head[0]];
-        if (ss.data.empty()) {
-          ss.data.assign(static_cast<std::size_t>(seg_size), std::byte{0});
-        }
-        const Bytes len = head[2] - head[1];
-        TCIO_CHECK(st.count == static_cast<Bytes>(sizeof(head)) + len);
-        // Intra-node crossing: the funnel hop is verified before the run is
-        // overlaid. A mismatch has no repair source once the peer's staging
-        // is cleared, so it surfaces — silent propagation is the one wrong
-        // move (DESIGN.md §11).
-        if (integrity_on &&
-            crc32({buf.data() + sizeof(head),
-                   static_cast<std::size_t>(len)}) !=
-                static_cast<std::uint32_t>(head[3])) {
-          throw IntegrityError("node-funnel run failed its CRC at the leader");
-        }
-        std::memcpy(ss.data.data() + head[1], buf.data() + sizeof(head),
-                    static_cast<std::size_t>(len));
-        ss.extents.push_back({head[1], head[2]});
-      }
-    }
-    for (auto& [g, ss] : staged_) {
-      std::vector<WireExtent> extents;
-      std::vector<std::byte> payload;
-      for (const Extent& run : mpi::normalizeOverlapping(ss.extents)) {
-        extents.push_back({g, run.begin, run.end});
-        payload.insert(payload.end(), ss.data.begin() + run.begin,
-                       ss.data.begin() + run.end);
-      }
-      ch_->put(key_, std::move(extents), std::move(payload));
-    }
-    staged_.clear();
-  }
-  node.barrier();
 }
 
 Bytes DFile::close() {

@@ -4,17 +4,14 @@
 // descriptors, moves payload through the staging windows, retries kBusy
 // rejections with simulated-time backoff, and — in crash mode — turns reply
 // timeouts into the suspicion/agreement/adoption protocol. `DFile` layers
-// the byte-offset file API on top: it splits accesses on segment boundaries,
-// routes each piece to its shard owner, and (in node-forwarding mode) stages
-// writes locally so the node leader can funnel them to the delegates in one
-// coalesced burst per segment.
+// the byte-offset file API on top: it splits accesses on segment boundaries
+// and routes each piece to its shard owner.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -141,17 +138,12 @@ class DFile {
  public:
   DFile(Channel& ch, std::string name, unsigned flags);
 
-  /// Writes [off, off+data.size()). Direct mode sends one put per touched
-  /// segment; node-forwarding mode stages locally until flush/close.
+  /// Writes [off, off+data.size()): one put per touched segment.
   void writeAt(Offset off, std::span<const std::byte> data);
-  /// Reads [off, off+out.size()) from the shard owners (flushes local
-  /// staging first in forwarding mode).
+  /// Reads [off, off+out.size()) from the shard owners.
   void readAt(Offset off, std::span<std::byte> out);
 
-  /// Forwarding mode: funnels the staged segments to the node leader, which
-  /// coalesces them and submits to the delegates. Collective over the node.
-  /// Direct mode: a per-delegate queue barrier (plus failure resolution in
-  /// crash mode).
+  /// A per-delegate queue barrier (plus failure resolution in crash mode).
   void flush();
 
   /// Collective over the session's clients. Drains every shard, closes the
@@ -161,22 +153,10 @@ class DFile {
   const std::string& name() const { return name_; }
 
  private:
-  struct StagedSeg {
-    std::vector<std::byte> data;
-    std::vector<Extent> extents;
-  };
-
-  void putSpan(SegmentId g, Offset begin_in_seg,
-               std::span<const std::byte> bytes);
-  void funnelToLeader();
-
   Channel* ch_;
   Session* s_;
   std::string name_;
   std::uint64_t key_;
-  bool forwarding_;
-  std::unique_ptr<mpi::Comm> node_comm_;  // forwarding mode only
-  std::map<SegmentId, StagedSeg> staged_;
   Bytes local_max_ = 0;
   bool closed_ = false;
 };

@@ -26,6 +26,7 @@ Server::Server(Session& session)
   }
   integrity_on_ = core::integrityEnabled(cfg);
   corruption_ = std::make_unique<CorruptionPlan>(cfg.faults, me_);
+  recv_buf_.resize(static_cast<std::size_t>(maxRequestBytes()));
   free_frames_.reserve(static_cast<std::size_t>(cfg.delegate.queue_capacity));
   for (std::int64_t i = cfg.delegate.queue_capacity - 1; i >= 0; --i) {
     free_frames_.push_back(i);
@@ -49,8 +50,7 @@ void Server::run() {
 // -- Arrival side -------------------------------------------------------------
 
 void Server::drainArrivals(bool block) {
-  std::vector<std::byte> buf(
-      static_cast<std::size_t>(maxRequestBytes()));
+  std::vector<std::byte>& buf = recv_buf_;
   if (block) {
     const mpi::RecvStatus st = comm_->recv(
         buf.data(), static_cast<Bytes>(buf.size()), mpi::kAnySource, kReqTag);

@@ -150,6 +150,9 @@ class Server {
   std::map<int, std::deque<Pending>> queues_;
   std::int64_t data_queued_ = 0;
   std::vector<std::int64_t> free_frames_;
+  /// Descriptor receive buffer (maxRequestBytes()), reused by every
+  /// drainArrivals() pass.
+  std::vector<std::byte> recv_buf_;
   int rr_next_ = 0;  // round-robin cursor (client rank)
   bool shutdown_ = false;
   core::TcioDelegateStats stats_;

@@ -25,10 +25,9 @@ Session::Session(mpi::Comm& comm, fs::Filesystem& fsys, core::TcioConfig cfg)
   TCIO_CHECK_MSG(num_delegates_ > 0,
                  "delegate::Session needs delegate_ranks > 0 (or "
                  "TCIO_DELEGATES) and at least one client rank");
-  TCIO_CHECK_MSG(!(cfg_.crash.enabled && cfg_.node_aggregation),
-                 "delegate mode: node-forwarding and crash tolerance cannot "
-                 "be combined (forwarded puts are attributed to the leader, "
-                 "so clients cannot resubmit them after a delegate death)");
+  TCIO_CHECK_MSG(!cfg_.node_aggregation,
+                 "delegate mode: node_aggregation is a core::File mode; "
+                 "delegate clients submit to the delegates directly");
   dead_.assign(static_cast<std::size_t>(num_delegates_), false);
   // Both collectives below must run on every session rank in this order.
   role_comm_ = std::make_unique<mpi::Comm>(

@@ -44,7 +44,8 @@ struct TcioConfig {
   /// leaders, so the NIC carries one coalesced epoch per (source node,
   /// destination node) instead of one per (rank, destination rank). Requires
   /// use_onesided && lazy_reads && !auto_fetch_on_segment_exit, because
-  /// staged data is only exchanged at collective calls.
+  /// staged data is only exchanged at collective calls. A core::File mode:
+  /// delegate::Session rejects it.
   bool node_aggregation = false;
 
   // -- I/O delegate ranks (src/delegate/, DESIGN.md §10) ---------------------
@@ -116,15 +117,6 @@ struct TcioConfig {
     int enabled = 0;
   };
   IntegrityConfig integrity;
-
-  /// Degradation ladder, RMA leg: once the network has dropped (and
-  /// retransmitted) at least this many RMA payloads, the next collective
-  /// point agrees to abandon one-sided epochs and run every remaining
-  /// exchange through the two-sided staged path. Only meaningful for plain
-  /// one-sided mode with lazy reads and no auto-fetch (the staged path only
-  /// moves data at collective calls; node aggregation keeps its own leader
-  /// funnel). 0 disables.
-  std::int64_t rma_fault_fallback_threshold = 0;
 };
 
 /// Resolves IntegrityConfig::enabled's tri-state against TCIO_INTEGRITY.

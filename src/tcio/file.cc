@@ -233,7 +233,7 @@ void File::flushLevel1() {
         {level1_.mutableData() + e.begin, static_cast<std::size_t>(e.size())});
   }
   const SimTime flush_begin = comm_->proc().now();
-  if (!twoSidedExchange() && !cfg_.node_aggregation) {
+  if (cfg_.use_onesided && !cfg_.node_aggregation) {
     std::vector<SlotBlock> blocks;
     blocks.reserve(extents.size());
     for (const Extent& e : extents) {
@@ -557,7 +557,7 @@ void File::collectiveFetch() {
   std::byte* local = window_->localData();
   if (cfg_.node_aggregation) {
     nodeAggregatedGather(pending_reads_);
-  } else if (!twoSidedExchange()) {
+  } else if (cfg_.use_onesided) {
     getFromOwners(pending_reads_, "File::collectiveFetch(gather)");
   } else {
     // Two-sided reply exchange: ship requests to owners, owners answer from
@@ -667,7 +667,7 @@ void File::flushAndAgree(mpi::CapturedError& err,
   // The residue flush carries crash points (kMidJournal/kMidRma); a rank
   // killed by one unwinds, uncaptured.
   captureLocal(err, [&] { flushLevel1(); });
-  const bool staged = cfg_.node_aggregation || twoSidedExchange();
+  const bool staged = cfg_.node_aggregation || !cfg_.use_onesided;
   if (cfg_.crash.enabled || (!staged && verdict == nullptr)) {
     if (verdict != nullptr) {
       agreeAndRecover(std::exchange(err, {}), *verdict);
@@ -675,15 +675,10 @@ void File::flushAndAgree(mpi::CapturedError& err,
       collectiveAgreeOnError(std::exchange(err, {}));
     }
   }
-  // close() of a readable file decides in the collectiveFetch() that follows
-  // (the verdict is agreed, so every rank takes the same branch).
-  const bool fetch_follows =
-      verdict != nullptr && !verdict->set() && (flags_ & fs::kRead) != 0;
-  if (!fetch_follows) maybeFallBackToTwoSided();
 }
 
 void File::exchangeStaged(mpi::CapturedError& err) {
-  if (!cfg_.node_aggregation && !twoSidedExchange()) return;
+  if (!cfg_.node_aggregation && cfg_.use_onesided) return;
   mpi::CapturedError apply_err = std::exchange(err, {});
   if (cfg_.node_aggregation) {
     nodeExchangeStagedWrites(apply_err);
@@ -697,7 +692,6 @@ void File::exchangeStaged(mpi::CapturedError& err) {
 }
 
 void File::exchangeStagedWrites(mpi::CapturedError& err) {
-  if (fallback_two_sided_) ++stats_.degraded.fallback_exchanges;
   const int P = comm_->size();
   const auto sp = static_cast<std::size_t>(P);
   std::vector<std::vector<std::byte>> meta(sp), payload(sp);
@@ -1346,8 +1340,7 @@ void File::buildNodeAggregation() {
   // leadership rotates so no single rank's NIC carries its node's traffic.
   const Bytes slot =
       static_cast<Bytes>(node_map_->maxNodeSize()) * cfg_.segment_size + 4096;
-  node_agg_ = std::make_unique<topo::NodeAggregator>(*node_map_, slot,
-                                                     /*rotate_leaders=*/true);
+  node_agg_ = std::make_unique<topo::NodeAggregator>(*node_map_, slot);
 }
 
 void File::replayOrphans(
@@ -1534,7 +1527,10 @@ void File::repairSegment(SegmentId g, std::int64_t slot) {
   }
   // The replay must reproduce every ledgered digest exactly; otherwise the
   // corruption predates the clean copies and nothing can prove the bytes.
-  if (ledger_.at(g).verify(local + dataDisp(slot, 0)).mismatches != 0) {
+  const SegmentLedger::Tally again =
+      ledger_.at(g).verify(local + dataDisp(slot, 0));
+  chargeChecksum(again.bytes);
+  if (again.mismatches != 0) {
     ++stats_.integrity.unrepairable;
     throw IntegrityError("segment " + std::to_string(g) + " of " + name_ +
                          " still fails its CRC after journal replay");
@@ -1578,25 +1574,6 @@ void File::maybeCorruptWindow() {
     corruption_->flipBit(
         {window_->localData() + dataDisp(slot, run.disp), run.len});
     return;
-  }
-}
-
-void File::maybeFallBackToTwoSided() {
-  if (cfg_.rma_fault_fallback_threshold <= 0 || fallback_two_sided_) return;
-  if (!cfg_.use_onesided || cfg_.node_aggregation || !cfg_.lazy_reads ||
-      cfg_.auto_fetch_on_segment_exit) {
-    return;  // no staged path to fall back to in these configurations
-  }
-  sim::Proc& p = comm_->proc();
-  const std::int64_t drops =
-      p.atomic([&] { return comm_->world().network().rmaDropCount(); });
-  // The drop counter is global but read at rank-local times; agree on the
-  // decision so every rank switches paths at the same collective call.
-  std::uint8_t trip = drops >= cfg_.rma_fault_fallback_threshold ? 1 : 0;
-  comm_->allreduce(&trip, 1, mpi::ReduceOp::kMax);
-  if (trip != 0) {
-    fallback_two_sided_ = true;
-    stats_.degraded.two_sided_fallback = true;
   }
 }
 

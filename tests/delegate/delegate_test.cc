@@ -706,34 +706,23 @@ TEST(DelegateChurnTest, EnvironmentDrivenDelegateChurn) {
   for (const auto& [rank, n] : ops) EXPECT_LT(rank, 2);
 }
 
-// -- Node-aggregation forwarding -----------------------------------------------
+// -- Mode composition ---------------------------------------------------------
 
-TEST(DelegateForwardingTest, NodeLeadersFunnelStagedWrites) {
+TEST(DelegateSessionTest, RejectsNodeAggregation) {
+  // Node aggregation is a core::File transfer mode; delegate clients submit
+  // to the delegates directly, so a session refuses the flag up front.
   fs::Filesystem fsys(fsCfg());
-  core::TcioDelegateStats stats;
-  mpi::runJob([&] {
-    mpi::JobConfig c = job(6);
-    c.net.ranks_per_node = 2;
-    return c;
-  }(), [&](mpi::Comm& comm) {
-    core::TcioConfig cfg = delegated(/*d=*/2);
-    cfg.node_aggregation = true;
-    runSession(comm, fsys, cfg, [&](Session& s, Channel& ch) {
-      const int c = s.clientComm().rank();
-      DFile f(ch, "funnel.dat", fs::kWrite | fs::kCreate);
-      const Offset off = static_cast<Offset>(c) * kSegment;
-      f.writeAt(off, clientBlock(c, off, kSegment));
-      f.flush();  // node leaders funnel and submit
-      EXPECT_EQ(f.close(), static_cast<Bytes>(s.numClients()) * kSegment);
-    }, &stats);
-  });
-  // Only the node leaders submitted puts, so the delegates saw fewer
-  // clients than the session has.
-  EXPECT_GT(stats.submissions, 0);
-  for (int c = 0; c < 4; ++c) {
-    const Offset off = static_cast<Offset>(c) * kSegment;
-    EXPECT_EQ(peekBytes(fsys, "funnel.dat", off, kSegment),
-              clientBlock(c, off, kSegment));
+  core::TcioConfig cfg = delegated(/*d=*/2);
+  cfg.node_aggregation = true;
+  mpi::JobConfig c = job(6);
+  c.net.ranks_per_node = 2;
+  try {
+    mpi::runJob(c, [&](mpi::Comm& comm) { Session s(comm, fsys, cfg); });
+    ADD_FAILURE() << "delegate::Session accepted node_aggregation";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("node_aggregation"),
+              std::string::npos)
+        << e.what();
   }
 }
 
