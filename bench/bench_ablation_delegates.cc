@@ -108,11 +108,6 @@ Sample measureFig5(int W, int D, bool crash) {
     if (crash) {
       cfg.crash.enabled = true;
       cfg.crash.journal = true;
-      // Wide liveness window: at ~200 ranks the default 250ms suspects
-      // busy-but-alive delegates, and the false positives self-fence. That
-      // path also recovers (deterministically), but this leg demonstrates
-      // the scheduled crash, not the failure detector's trigger finger.
-      cfg.crash.liveness_window = 2.0;
       cfg.faults.seed = 3;
       // Delegate 0 dies mid journal append, leaving a torn record behind.
       cfg.faults.crashes.push_back(

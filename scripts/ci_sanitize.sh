@@ -25,7 +25,7 @@ TCIO_FAULT_SEED=7 \
 
 # -- ThreadSanitizer ----------------------------------------------------------
 # The engine runs one OS thread per rank with a strict one-active-rank
-# handoff (plain waits, timed waits whose timer is a gate key), and the
+# handoff (event waits gated in (virtual time, rank) order), and the
 # delegate server core multiplexes 10k+ client queues over it; TSan on the
 # engine, liveness, delegate and chaos suites checks that discipline where
 # it is busiest. Currently clean with no suppressions — if the engine

@@ -112,9 +112,6 @@ core::TcioConfig chaosConfig(const ChaosPlan& plan, bool faulty) {
   cfg.node_aggregation = plan.node_agg;
   cfg.crash.enabled = true;  // shadow runs the same protocol, unarmed
   cfg.crash.journal = true;
-  // A straggling OST stretches collective skew; keep the failure detector's
-  // window comfortably above it so chaos never manufactures false deaths.
-  cfg.crash.liveness_window = 500.0e-3;
   // Pin integrity explicitly (never defer to TCIO_INTEGRITY): the oracle
   // compares faulty vs shadow runs, which must agree on the pipeline.
   cfg.integrity.enabled = plan.integrity ? 1 : -1;

@@ -37,8 +37,8 @@ namespace tcio::chaos {
 
 /// Distribution knobs for makeChaosPlan(). The defaults keep every drawn
 /// plan inside the envelope the recovery machinery guarantees to survive
-/// (journaling on, transients under the retry budget, straggler skew under
-/// the liveness window), so a red seed is a real bug, not a mis-tuned plan.
+/// (journaling on, transients under the retry budget), so a red seed is a
+/// real bug, not a mis-tuned plan.
 struct ChaosKnobs {
   int ranks = 12;
   int ranks_per_node = 4;
@@ -56,7 +56,7 @@ struct ChaosKnobs {
   /// Per-request transient EIO rates are drawn uniformly from [0, max].
   double transient_rate_max = 0.12;
   /// Probability of a straggling OST (service-time multiplier, not an
-  /// error); the multiplier stays far under the liveness window.
+  /// error). The skew it adds costs waiting time, never a death.
   double straggler_chance = 0.35;
   double straggler_multiplier = 4.0;
   /// Probability of drawing node aggregation for the exchange path.

@@ -120,17 +120,10 @@ bool Channel::awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
   std::vector<std::byte> buf(static_cast<std::size_t>(maxReplyBytes()));
   for (;;) {
     mpi::RecvStatus st;
-    if (s_->crashEnabled()) {
-      const bool got = comm_->recvUntil(
-          buf.data(), static_cast<Bytes>(buf.size()), delegate, kRepTag,
-          comm_->proc().now() + s_->config().crash.liveness_window, &st);
-      if (!got) {
-        suspect(delegate);
-        return false;
-      }
-    } else {
-      st = comm_->recv(buf.data(), static_cast<Bytes>(buf.size()), delegate,
-                       kRepTag);
+    if (!comm_->recvOrDead(buf.data(), static_cast<Bytes>(buf.size()),
+                           delegate, kRepTag, &st)) {
+      suspect(delegate);
+      return false;
     }
     ReplyMsg r;
     std::memcpy(&r, buf.data(), sizeof(r));
@@ -351,7 +344,7 @@ void Channel::get(std::uint64_t key, const std::vector<WireExtent>& extents,
 // -- Flush / close ------------------------------------------------------------
 
 void Channel::flushDelegates(std::uint64_t key) {
-  // A delegate that timed out is suspected; the caller resolves it.
+  // A delegate that crashed is suspected; the caller resolves it.
   for (const ReplyMsg& r :
        fanOut(requestHeader(Op::kFlush, comm_->rank(), 0, key))) {
     TCIO_CHECK(r.kind == ReplyKind::kFlushDone);
@@ -386,8 +379,7 @@ void Channel::resolveFailures() {
     }
     if (cc.rank() == 0) {
       // Tell every delegate the verdict — the dead list rides in the extent
-      // slots. Suspects get it too (a falsely-suspected delegate must
-      // self-fence); only confirmed-live delegates owe a kAdoptDone.
+      // slots. Only delegates outside the dead set owe a kAdoptDone.
       std::vector<WireExtent> dead_list;
       for (int d = 0; d < s_->numDelegates(); ++d) {
         if ((fresh & bit(d)) != 0) dead_list.push_back({d, 0, 0});

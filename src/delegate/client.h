@@ -2,8 +2,9 @@
 //
 // `Channel` is one client rank's connection to the delegate set: it frames
 // descriptors, moves payload through the staging windows, retries kBusy
-// rejections with simulated-time backoff, and — in crash mode — turns reply
-// timeouts into the suspicion/agreement/adoption protocol. `DFile` layers
+// rejections with simulated-time backoff, and — in crash mode — turns a
+// delegate's crash, reported by its reply receive, into the
+// suspicion/agreement/adoption protocol. `DFile` layers
 // the byte-offset file API on top: it splits accesses on segment boundaries
 // and routes each piece to its shard owner.
 #pragma once
@@ -98,7 +99,7 @@ class Channel {
   void sendRequest(const PendingOp& op, std::int64_t seq);
   /// Sends `h`, under a fresh sequence number each, to every live delegate
   /// this client does not suspect, then awaits each reply in send order.
-  /// Returns the replies that arrived; a delegate that timed out is now
+  /// Returns the replies that arrived; a delegate that crashed is now
   /// suspected and has none.
   std::vector<ReplyMsg> fanOut(RequestHeader h, const std::string& name = {});
   /// Splits `extents` into requests that fit one staging frame and one
@@ -108,12 +109,13 @@ class Channel {
       const std::vector<WireExtent>& extents,
       const std::function<void(std::vector<WireExtent>, Bytes)>& send) const;
   /// Awaits the reply carrying `seq` from `delegate`, stashing out-of-order
-  /// replies. Returns false on a liveness timeout (crash mode only), after
-  /// marking the delegate suspected. kError replies rethrow typed.
+  /// replies. Returns false when the delegate crashed first (crash mode
+  /// only), after marking it suspected. kError replies rethrow typed.
   bool awaitReply(int delegate, std::int64_t seq, ReplyMsg* out,
                   std::vector<std::byte>* extra = nullptr);
   /// Admission loop: resends the descriptor after each kBusy with
-  /// exponential simulated-time backoff until kAccepted (or a timeout).
+  /// exponential simulated-time backoff until kAccepted (or the delegate's
+  /// crash).
   bool awaitAdmission(PendingOp& op, std::int64_t seq, std::int64_t* frame);
   void suspect(int delegate);
   void resubmitDeferred();

@@ -42,8 +42,8 @@ void Server::run() {
       if (hasServiceable()) serviceOne();
     }
   } catch (const RankCrashedError&) {
-    // Fail-stop: the delegate goes silent. Clients detect the silence via
-    // reply timeouts and run the adoption protocol.
+    // Fail-stop: the delegate goes silent. Clients learn of the crash from
+    // their reply receives (Comm::recvOrDead) and run the adoption protocol.
   }
 }
 
@@ -56,13 +56,9 @@ void Server::drainArrivals(bool block) {
         buf.data(), static_cast<Bytes>(buf.size()), mpi::kAnySource, kReqTag);
     handleArrival(buf.data(), st.count);
   }
-  // Nonblocking arrival probe: recvUntil with deadline == now never waits.
-  for (;;) {
-    mpi::RecvStatus st;
-    const bool got = comm_->recvUntil(
-        buf.data(), static_cast<Bytes>(buf.size()), mpi::kAnySource, kReqTag,
-        comm_->proc().now(), &st);
-    if (!got) break;
+  mpi::RecvStatus st;
+  while (comm_->tryRecv(buf.data(), static_cast<Bytes>(buf.size()),
+                        mpi::kAnySource, kReqTag, &st)) {
     handleArrival(buf.data(), st.count);
   }
 }
@@ -492,7 +488,6 @@ void Server::serveAdopt(Pending& p) {
   std::set<int> fresh;
   for (const WireExtent& e : p.extents) {
     const int dead = static_cast<int>(e.seg);
-    if (dead == me_) die();  // peers agreed I'm dead: self-fence
     if (s_->isDead(dead)) continue;
     s_->markDead(dead);
     ++stats_.delegates_crashed;
@@ -684,6 +679,7 @@ void Server::crashPoint(CrashPoint point) {
 }
 
 void Server::die() {
+  comm_->failStop();
   throw RankCrashedError("delegate " + std::to_string(me_) +
                              " hit its scheduled fail-stop crash",
                          me_);

@@ -86,26 +86,16 @@ const core::TcioDelegateStats& Session::finish() {
   core::TcioDelegateStats merged;
   if (cc.rank() == 0) {
     // Shut down each live delegate and collect its stats blob. With crash
-    // tolerance a delegate may die between the last data op and here; a
-    // timeout marks it dead and its counters die with it (fail-stop).
+    // tolerance a delegate may die between the last data op and here; its
+    // crash marks it dead and its counters die with it (fail-stop).
     std::vector<std::byte> buf(static_cast<std::size_t>(maxReplyBytes()));
     for (int d = 0; d < num_delegates_; ++d) {
       if (isDead(d)) continue;
       const RequestHeader h = requestHeader(Op::kShutdown, comm_->rank());
       comm_->send(&h, sizeof(h), d, kReqTag);
       mpi::RecvStatus st;
-      bool got;
-      if (crashEnabled()) {
-        got = comm_->recvUntil(buf.data(), static_cast<Bytes>(buf.size()), d,
-                               kRepTag,
-                               comm_->proc().now() + cfg_.crash.liveness_window,
-                               &st);
-      } else {
-        st = comm_->recv(buf.data(), static_cast<Bytes>(buf.size()), d,
-                         kRepTag);
-        got = true;
-      }
-      if (!got) {
+      if (!comm_->recvOrDead(buf.data(), static_cast<Bytes>(buf.size()), d,
+                             kRepTag, &st)) {
         markDead(d);
         continue;
       }

@@ -124,7 +124,6 @@ SimTime Filesystem::write(int client, SimTime t, int inode, Offset off,
             t + cfg_.rpc_latency, duration) +
         cfg_.rpc_latency;
     caches_[static_cast<std::size_t>(ost)].insert(inode, roff, rlen);
-    if (trace_ != nullptr) trace_->record(client, t, end, "fs.write", rlen);
     done = std::max(done, end);
   });
   ino.store.write(off, data);
@@ -172,7 +171,6 @@ SimTime Filesystem::read(int client, SimTime t, int inode, Offset off,
             t + cfg_.rpc_latency, duration) +
         cfg_.rpc_latency;
     cache.insert(inode, roff, rlen);  // disk reads populate the cache too
-    if (trace_ != nullptr) trace_->record(client, t, end, "fs.read", rlen);
     done = std::max(done, end);
   });
   if (integrity_) {
@@ -201,7 +199,6 @@ SimTime Filesystem::journalWrite(int client, SimTime t, int inode, Offset off,
   stats_.journal_bytes += n;
   const SimTime end =
       t + cfg_.journal_latency + static_cast<double>(n) / cfg_.journal_bandwidth;
-  if (trace_ != nullptr) trace_->record(client, t, end, "fs.journal", n);
   ino.store.write(off, data);
   if (plan_ != nullptr &&
       plan_->corruption().fires(CorruptSite::kJournalBody)) {

@@ -18,7 +18,6 @@
 #include "fs/lock_manager.h"
 #include "fs/store.h"
 #include "sim/timeline.h"
-#include "sim/trace.h"
 
 namespace tcio::fs {
 
@@ -149,10 +148,6 @@ class Filesystem {
   RemapResult remapChunks(int client, SimTime t, int inode, Offset off,
                           Bytes n);
 
-  /// Optional event trace: every OST request is recorded as "fs.write" /
-  /// "fs.read" with the requesting client as the rank (not owned).
-  void setTrace(sim::Trace* trace) { trace_ = trace; }
-
  private:
   struct Inode {
     std::string name;
@@ -232,7 +227,6 @@ class Filesystem {
   FsStats stats_;
   std::map<int, std::int64_t> ops_by_client_;
   std::unique_ptr<FaultPlan> plan_;
-  sim::Trace* trace_ = nullptr;
 };
 
 }  // namespace tcio::fs

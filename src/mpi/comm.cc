@@ -60,28 +60,51 @@ SimTime sendLocked(World& world, sim::Proc& proc, int context, Rank src,
   return times.sender_free;
 }
 
-/// Receive-posting logic; requires an atomic section. Returns true when an
-/// unexpected message matched immediately (pr filled, event completed).
-bool postRecvLocked(World& world, sim::Proc& proc, Rank world_dst,
-                    std::shared_ptr<detail::PendingRecv> pr) {
+/// Takes the first unexpected message matching `pr` (MPI matching rules);
+/// requires an atomic section. Returns true when one matched (pr filled,
+/// event completed at the message's delivery time).
+bool takeUnexpectedLocked(World& world, sim::Proc& proc, Rank world_dst,
+                          detail::PendingRecv& pr) {
   detail::Mailbox& mb = world.mailbox(world_dst);
   for (auto it = mb.unexpected.begin(); it != mb.unexpected.end(); ++it) {
-    if (it->context != pr->context ||
-        (pr->want_src != kAnySource && pr->want_src != it->src) ||
-        (pr->want_tag != kAnyTag && pr->want_tag != it->tag)) {
+    if (it->context != pr.context ||
+        (pr.want_src != kAnySource && pr.want_src != it->src) ||
+        (pr.want_tag != kAnyTag && pr.want_tag != it->tag)) {
       continue;
     }
     const Bytes n = static_cast<Bytes>(it->data.size());
-    TCIO_CHECK_MSG(n <= pr->capacity, "message truncation in recv");
-    if (n > 0) std::memcpy(pr->buf, it->data.data(), it->data.size());
-    pr->src = it->src;
-    pr->tag = it->tag;
-    pr->received = n;
-    proc.complete(pr->ev, it->delivered);
+    TCIO_CHECK_MSG(n <= pr.capacity, "message truncation in recv");
+    if (n > 0) std::memcpy(pr.buf, it->data.data(), it->data.size());
+    pr.src = it->src;
+    pr.tag = it->tag;
+    pr.received = n;
+    proc.complete(pr.ev, it->delivered);
     mb.unexpected.erase(it);
     return true;
   }
-  mb.posted.push_back(std::move(pr));
+  return false;
+}
+
+/// Completes `pr` as "source dead" at `at` (detection time of its watched
+/// rank's crash); requires an atomic section.
+void completeSourceDead(sim::Proc& proc, detail::PendingRecv& pr,
+                        SimTime at) {
+  pr.source_dead = true;
+  proc.complete(pr.ev, std::max(proc.now(), at));
+}
+
+/// Receive-posting logic; requires an atomic section. Returns true when the
+/// receive completed immediately — an unexpected message matched, or the
+/// watched source has already crashed (pr filled, event completed).
+bool postRecvLocked(World& world, sim::Proc& proc, Rank world_dst,
+                    std::shared_ptr<detail::PendingRecv> pr) {
+  if (takeUnexpectedLocked(world, proc, world_dst, *pr)) return true;
+  if (pr->watch >= 0 && world.diedAt(pr->watch) != World::kAlive) {
+    completeSourceDead(proc, *pr,
+                       world.diedAt(pr->watch) + kFailureDetectionDelay);
+    return true;
+  }
+  world.mailbox(world_dst).posted.push_back(std::move(pr));
   return false;
 }
 
@@ -113,6 +136,11 @@ Request Comm::isend(const void* buf, Bytes n, Rank dst, int tag) {
 }
 
 Request Comm::irecv(void* buf, Bytes capacity, Rank src, int tag) {
+  return postRecv(buf, capacity, src, tag, /*watch=*/-1);
+}
+
+Request Comm::postRecv(void* buf, Bytes capacity, Rank src, int tag,
+                       Rank watch) {
   sim::Proc& p = *proc_;
   auto st = std::make_shared<detail::ReqState>();
   st->recv = std::make_shared<detail::PendingRecv>();
@@ -121,6 +149,7 @@ Request Comm::irecv(void* buf, Bytes capacity, Rank src, int tag) {
   st->recv->context = context_;
   st->recv->buf = static_cast<std::byte*>(buf);
   st->recv->capacity = capacity;
+  st->recv->watch = watch;
   auto& pr_ev_owner = st->recv;  // keep alive until matched
   p.atomic([&] {
     if (postRecvLocked(*world_, p, p.rank(), pr_ev_owner)) {
@@ -130,42 +159,50 @@ Request Comm::irecv(void* buf, Bytes capacity, Rank src, int tag) {
   return Request(std::move(st));
 }
 
-bool Comm::recvUntil(void* buf, Bytes capacity, Rank src, int tag,
-                     SimTime deadline, RecvStatus* out) {
+bool Comm::recvOrDead(void* buf, Bytes capacity, Rank src, int tag,
+                      RecvStatus* out) {
+  TCIO_CHECK_MSG(src != kAnySource, "recvOrDead needs one named source");
+  Request req = postRecv(buf, capacity, src, tag, worldRank(src));
+  const std::shared_ptr<detail::PendingRecv> pr = req.state_->recv;
+  const RecvStatus st = wait(req);
+  if (pr->source_dead) return false;
+  if (out != nullptr) *out = st;
+  return true;
+}
+
+bool Comm::tryRecv(void* buf, Bytes capacity, Rank src, int tag,
+                   RecvStatus* out) {
   sim::Proc& p = *proc_;
-  auto pr = std::make_shared<detail::PendingRecv>();
-  pr->want_src = src;
-  pr->want_tag = tag;
-  pr->context = context_;
-  pr->buf = static_cast<std::byte*>(buf);
-  pr->capacity = capacity;
-  p.atomic([&] { postRecvLocked(*world_, p, p.rank(), pr); });
-  // A plain wait on a message from a crashed rank would trip the engine's
-  // deadlock detector; the timed wait gives up at the deadline instead, in
-  // global (time, rank) order, so the verdict is deterministic.
-  bool got = p.waitUntil(pr->ev, deadline, "MPI_Recv (deadline)");
-  if (!got) {
-    // Cancel the posted receive under an atomic that takes a final look —
-    // otherwise a late sender could memcpy into a buffer the caller is about
-    // to abandon. A probe (deadline <= now) has not gated yet, so a sender
-    // ordered before us can still match here.
-    got = p.atomic([&] {
-      if (pr->ev.ready()) return true;
-      detail::Mailbox& mb = world_->mailbox(p.rank());
-      for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
-        if (it->get() == pr.get()) {
-          mb.posted.erase(it);
-          return false;
-        }
-      }
-      TCIO_CHECK_MSG(false,
-                     "recvUntil: pending receive neither ready nor posted");
-      return false;
-    });
-    if (got) p.advanceTo(pr->ev.time());
-  }
-  if (got && out != nullptr) *out = {pr->src, pr->tag, pr->received};
-  return got;
+  detail::PendingRecv pr;
+  pr.want_src = src;
+  pr.want_tag = tag;
+  pr.context = context_;
+  pr.buf = static_cast<std::byte*>(buf);
+  pr.capacity = capacity;
+  const bool got = p.atomic(
+      [&] { return takeUnexpectedLocked(*world_, p, p.rank(), pr); });
+  if (!got) return false;
+  p.advanceTo(pr.ev.time());
+  if (out != nullptr) *out = {pr.src, pr.tag, pr.received};
+  return true;
+}
+
+void Comm::failStop() {
+  sim::Proc& p = *proc_;
+  const Rank me = p.rank();
+  p.atomic([&] {
+    TCIO_CHECK_MSG(world_->diedAt(me) == World::kAlive,
+                   "failStop: this rank already crashed");
+    world_->recordDeath(me, p.now());
+    const SimTime detected = p.now() + kFailureDetectionDelay;
+    for (Rank r = 0; r < world_->numRanks(); ++r) {
+      std::erase_if(world_->mailbox(r).posted, [&](const auto& pr) {
+        if (pr->watch != me) return false;
+        completeSourceDead(p, *pr, detected);
+        return true;
+      });
+    }
+  });
 }
 
 RecvStatus Comm::wait(Request& req) { return waitInternal(req, true); }

@@ -85,15 +85,28 @@ class Comm {
   Request isend(const void* buf, Bytes n, Rank dst, int tag);
   Request irecv(void* buf, Bytes capacity, Rank src, int tag);
 
-  /// Receive with a virtual-time deadline: blocks until a matching message
-  /// is sent or the engine gate reaches (deadline, this rank), whichever
-  /// comes first (sim::Proc::waitUntil). On success returns true, fills
-  /// `out` like recv and advances the clock to the delivery time; on timeout
-  /// returns false at `deadline` after cancelling the posted receive (no
-  /// dangling buffer is left behind). `deadline <= now()` makes it a
-  /// nonblocking probe. The liveness protocol's failure-detector primitive.
-  bool recvUntil(void* buf, Bytes capacity, Rank src, int tag,
-                 SimTime deadline, RecvStatus* out = nullptr);
+  /// Receive from a rank that may fail-stop (ULFM MPI_ERR_PROC_FAILED
+  /// semantics). Returns true with `out` filled like recv when a matching
+  /// message arrives — messages the source sent before it crashed are still
+  /// delivered. Returns false once the source has crashed (failStop) and no
+  /// matching message is queued: the clock is then at least the crash time
+  /// plus kFailureDetectionDelay. `src` must name one rank. With no crash
+  /// it is exactly recv, deadlock checking included.
+  bool recvOrDead(void* buf, Bytes capacity, Rank src, int tag,
+                  RecvStatus* out = nullptr);
+
+  /// Nonblocking probe-and-receive: takes the first queued message matching
+  /// (src, tag) — `src` may be kAnySource — and returns true with `out`
+  /// filled and the clock at its delivery time; returns false at once when
+  /// none is queued. Never blocks and leaves no receive posted.
+  bool tryRecv(void* buf, Bytes capacity, Rank src, int tag,
+               RecvStatus* out = nullptr);
+
+  /// Fail-stop crash of this rank, recorded at its current clock: every
+  /// pending recvOrDead from this rank (and every later one with no queued
+  /// message) completes as "source dead" kFailureDetectionDelay later. The
+  /// caller must then stop communicating and unwind.
+  void failStop();
 
   /// Combined send+receive without deadlock (MPI_Sendrecv).
   RecvStatus sendrecv(const void* sendbuf, Bytes send_n, Rank dst,
@@ -212,6 +225,10 @@ class Comm {
   void reduceBytes(void* data, Bytes n,
                    const std::function<void(void*, const void*)>& combine,
                    Rank root);
+
+  /// irecv body; `watch` is the world rank whose crash completes the
+  /// receive as source-dead (-1: never).
+  Request postRecv(void* buf, Bytes capacity, Rank src, int tag, Rank watch);
 
   /// wait() body; `track` controls per-request deadlock-checker registration
   /// (waitAll registers one AND-wait for the whole set instead).

@@ -59,10 +59,9 @@ std::vector<Rank> LivenessOutcome::survivors(int comm_size) const {
 }
 
 LivenessOutcome agreeWithLiveness(Comm& comm, const CapturedError& local,
-                                  int epoch, SimTime window) {
+                                  int epoch) {
   const int P = comm.size();
   const Rank me = comm.rank();
-  TCIO_CHECK_MSG(window > 0, "liveness window must be > 0");
   /// Suspicion bitmap width in 64-bit words (any communicator size).
   const std::size_t kWords = static_cast<std::size_t>(P + 63) / 64;
   const std::size_t kBitmapBytes = kWords * sizeof(std::uint64_t);
@@ -80,11 +79,10 @@ LivenessOutcome agreeWithLiveness(Comm& comm, const CapturedError& local,
     comm.waitAll(sends);
   }
   std::vector<std::uint64_t> suspects(kWords, 0);
-  const SimTime vote_deadline = comm.proc().now() + window;
   for (Rank r = 0; r < P; ++r) {
     if (r == me) continue;
     VoteMsg in;
-    if (comm.recvUntil(&in, sizeof(in), r, tag_vote, vote_deadline)) {
+    if (comm.recvOrDead(&in, sizeof(in), r, tag_vote)) {
       TCIO_CHECK_MSG(in.epoch == epoch, "liveness vote from a stale epoch");
     } else {
       setBit(suspects, r);
@@ -127,12 +125,11 @@ LivenessOutcome agreeWithLiveness(Comm& comm, const CapturedError& local,
   std::vector<std::byte> in(sizeof(VerdictHeader) + kBitmapBytes +
                             kLivenessMaxWhat);
   std::vector<std::uint64_t> in_bits(kWords);
-  const SimTime verdict_deadline = comm.proc().now() + window;
   for (Rank r = 0; r < P; ++r) {
     if (r == me) continue;
     RecvStatus st;
-    if (comm.recvUntil(in.data(), static_cast<Bytes>(in.size()), r,
-                       tag_verdict, verdict_deadline, &st)) {
+    if (comm.recvOrDead(in.data(), static_cast<Bytes>(in.size()), r,
+                        tag_verdict, &st)) {
       VerdictHeader hdr;
       std::memcpy(&hdr, in.data(), sizeof(hdr));
       TCIO_CHECK_MSG(hdr.epoch == epoch, "liveness verdict from a stale epoch");
@@ -154,7 +151,7 @@ LivenessOutcome agreeWithLiveness(Comm& comm, const CapturedError& local,
             static_cast<std::size_t>(hdr.what_len));
       }
     } else {
-      // Died between the rounds (or was suspected by everyone): no verdict.
+      // Died between the rounds: no verdict.
       setBit(dead_bits, r);
     }
   }
@@ -162,7 +159,6 @@ LivenessOutcome agreeWithLiveness(Comm& comm, const CapturedError& local,
   LivenessOutcome out;
   out.code = best_code;
   out.what = std::move(best_what);
-  out.self_dead = testBit(dead_bits, me);
   for (Rank r = 0; r < P; ++r) {
     if (testBit(dead_bits, r)) out.dead.push_back(r);
   }

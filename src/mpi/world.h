@@ -17,7 +17,6 @@
 #include "common/types.h"
 #include "net/network.h"
 #include "sim/engine.h"
-#include "sim/trace.h"
 
 namespace tcio::mpi {
 
@@ -27,6 +26,12 @@ constexpr int kAnyTag = -1;
 
 /// Tags >= kInternalTagBase are reserved for collectives and window setup.
 constexpr int kInternalTagBase = 1 << 28;
+
+/// Failure-detection delay δ of the modeled fail-stop detector: a receive
+/// from a crashed rank (Comm::recvOrDead) learns of the crash this long
+/// after it happened — one heartbeat timeout of an eventually perfect
+/// detector whose heartbeats run on a progress thread (DESIGN.md §2).
+constexpr SimTime kFailureDetectionDelay = 10.0e-3;
 
 /// Cost knobs of the MPI layer itself (on top of the raw network).
 struct MpiConfig {
@@ -54,10 +59,14 @@ struct PendingRecv {
   int context = 0;
   std::byte* buf = nullptr;
   Bytes capacity = 0;
-  // Filled by the matching send:
+  /// World rank whose fail-stop crash completes this receive with
+  /// `source_dead` set (Comm::recvOrDead); -1 for a plain receive.
+  Rank watch = -1;
+  // Filled by the matching send (or by the watched rank's crash):
   Rank src = -1;
   int tag = 0;
   Bytes received = 0;
+  bool source_dead = false;
   sim::Event ev;
 };
 
@@ -100,7 +109,8 @@ class World {
         network_(network),
         cfg_(cfg),
         mailboxes_(static_cast<std::size_t>(engine.numRanks())),
-        memory_(static_cast<std::size_t>(engine.numRanks())) {
+        memory_(static_cast<std::size_t>(engine.numRanks())),
+        died_at_(static_cast<std::size_t>(engine.numRanks()), kAlive) {
     if (check::Checker::enabled()) {
       checker_ = std::make_unique<check::Checker>(engine.numRanks());
     }
@@ -143,8 +153,13 @@ class World {
     return base;
   }
 
-  /// Optional event trace shared by all layers.
-  sim::Trace& trace() { return trace_; }
+  /// Fail-stop record (see Comm::failStop): the virtual time world rank `r`
+  /// crashed, or kAlive.
+  static constexpr SimTime kAlive = -1;
+  SimTime diedAt(Rank r) const { return died_at_[static_cast<std::size_t>(r)]; }
+  void recordDeath(Rank r, SimTime t) {
+    died_at_[static_cast<std::size_t>(r)] = t;
+  }
 
   /// Runtime correctness checker; null unless TCIO_CHECK is enabled. Every
   /// hook call is guarded by this null check, so the disabled cost is one
@@ -160,7 +175,7 @@ class World {
   std::map<std::pair<int, std::size_t>, std::unique_ptr<detail::WinState>>
       windows_;
   int next_context_ = 1;  // 0 is COMM_WORLD
-  sim::Trace trace_;
+  std::vector<SimTime> died_at_;  // per world rank
   std::unique_ptr<check::Checker> checker_;
 };
 

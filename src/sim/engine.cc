@@ -25,10 +25,6 @@ void Proc::complete(Event& e, SimTime t) {
   for (Rank w : e.waiters_) {
     Engine::RankRecord& rec = eng.records_[w];
     TCIO_CHECK(rec.state == Engine::State::kBlocked);
-    if (rec.timed) {
-      eng.gated_.erase({rec.deadline, w});
-      rec.timed = false;
-    }
     rec.state = Engine::State::kGated;
     rec.wait_what = nullptr;
     --eng.blocked_count_;
@@ -58,42 +54,6 @@ void Proc::wait(Event& e, const char* what) {
   rec.cv.wait(lk, [&] { return eng.active_ == rank_ || eng.abort_; });
   if (eng.abort_) throw Aborted{};
   // complete() already advanced our clock and re-gated us; we are active now.
-}
-
-bool Proc::waitUntil(Event& e, SimTime deadline, const char* what) {
-  Engine& eng = *engine_;
-  std::unique_lock<std::mutex> lk(eng.lock_);
-  eng.checkAbortLocked();
-  if (e.ready_) {
-    advanceTo(e.time_);
-    return true;
-  }
-  if (deadline <= now_) return false;
-  TCIO_CHECK_MSG(eng.active_ == rank_, "waitUntil() by a non-active rank");
-  Engine::RankRecord& rec = eng.records_[rank_];
-  rec.state = Engine::State::kBlocked;
-  rec.wait_what = what;
-  rec.timed = true;
-  rec.deadline = deadline;
-  ++eng.blocked_count_;
-  e.waiters_.push_back(rank_);
-  eng.gated_.insert({deadline, rank_});
-  eng.releaseActiveLocked(rank_);
-  eng.dispatchLocked();
-  rec.cv.wait(lk, [&] { return eng.active_ == rank_ || eng.abort_; });
-  if (eng.abort_) throw Aborted{};
-  // Completed: complete() disarmed the timer and re-gated us at the
-  // completion time. Nothing else can run before we resume, because we are
-  // the active rank from the moment we were dispatched.
-  if (e.ready_) return true;
-  // The timer key was dispatched: withdraw from the event, so a later
-  // complete() neither wakes us nor finds a waiter that is not blocked.
-  std::erase(e.waiters_, rank_);
-  rec.timed = false;
-  rec.wait_what = nullptr;
-  --eng.blocked_count_;
-  now_ = deadline;
-  return false;
 }
 
 // ---------------------------------------------------------------------------

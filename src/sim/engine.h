@@ -19,15 +19,10 @@
 // Blocking is expressed with `Event`: a module (inside `atomic`) registers
 // the calling rank as a waiter, and some later rank (inside its own `atomic`)
 // calls `Proc::complete(event, time)`. `Proc::wait` suspends until then and
-// advances the waiter's clock to the completion time. `Proc::waitUntil` adds
-// a virtual-time deadline: the waiter also holds the gate key
-// (deadline, rank), so it resumes at whichever comes first in global order —
-// the completion or its own timer.
+// advances the waiter's clock to the completion time.
 //
 // If every live rank ends up blocked, the engine raises `DeadlockError`
 // naming each rank's wait reason — simulated programs cannot hang silently.
-// A rank in a timed wait is never part of a deadlock: its timer keeps it
-// runnable.
 #pragma once
 
 #include <condition_variable>
@@ -106,14 +101,6 @@ class Proc {
   /// called inside atomic().
   void wait(Event& e, const char* what);
 
-  /// Like wait(), but gives up when the gate reaches (deadline, rank):
-  /// returns true if `e` completed first (clock advanced to the completion
-  /// time, which may lie past the deadline), false on timeout (clock at
-  /// `deadline`, this rank withdrawn from `e`'s waiters). With
-  /// `deadline <= now()` it returns at once without gating. Must NOT be
-  /// called inside atomic().
-  bool waitUntil(Event& e, SimTime deadline, const char* what);
-
   /// Deterministic per-rank random stream.
   Rng& rng() { return rng_; }
 
@@ -180,10 +167,6 @@ class Engine {
   struct RankRecord {
     State state = State::kGated;
     const char* wait_what = nullptr;
-    /// Armed timer of a kBlocked rank in waitUntil: its gate key is
-    /// (deadline, rank). complete() disarms it.
-    bool timed = false;
-    SimTime deadline = 0;
     std::condition_variable cv;
   };
 

@@ -94,15 +94,6 @@ struct TcioConfig {
     /// per-rank CRC32-framed journal file before the level-2 transfer, so
     /// a dead rank's buffered segments can be replayed by their new owner.
     bool journal = true;
-    /// Virtual-time window each of the two liveness rounds (vote, verdict)
-    /// gives a peer's message, counted from the moment this rank finished
-    /// sending its own; a peer whose message is not sent inside it is
-    /// suspected (mpi/liveness.h). A round ends as soon as its last
-    /// message lands, so the window costs time only when a peer is dead.
-    /// Must exceed the worst-case inter-rank skew at a collective point
-    /// (straggler configs need more). Delegate clients use the same budget
-    /// for a delegate's reply.
-    SimTime liveness_window = 250.0e-3;
   };
   CrashToleranceConfig crash;
 

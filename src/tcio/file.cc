@@ -232,7 +232,6 @@ void File::flushLevel1() {
     corruption_->flipBit(
         {level1_.mutableData() + e.begin, static_cast<std::size_t>(e.size())});
   }
-  const SimTime flush_begin = comm_->proc().now();
   if (cfg_.use_onesided && !cfg_.node_aggregation) {
     std::vector<SlotBlock> blocks;
     blocks.reserve(extents.size());
@@ -241,15 +240,6 @@ void File::flushLevel1() {
                         level1_.mutableData() + e.begin});
     }
     putToOwners(blocks, "File::flushLevel1");
-    if (comm_->world().trace().enabled()) {
-      sim::Proc& p = comm_->proc();
-      Bytes n = 0;
-      for (const Extent& e : extents) n += e.size();
-      p.atomic([&] {
-        comm_->world().trace().record(p.rank(), flush_begin, p.now(),
-                                      "tcio.flush", n);
-      });
-    }
   } else {
     // Two-sided ablation / node aggregation: stage locally until the next
     // collective exchange.
@@ -491,7 +481,6 @@ void File::forEachBlock(Stream& stream, Fn&& fn) {
 void File::collectiveFetch() {
   ++stats_.collective_fetches;
   maybeCorruptWindow();
-  const SimTime fetch_begin = comm_->proc().now();
   mpi::CapturedError err;
   flushAndAgree(err, nullptr);
   exchangeStaged(err);
@@ -603,15 +592,6 @@ void File::collectiveFetch() {
       cursor[owner] += r.len;
     }
     comm_->chargeCopy(static_cast<Bytes>(payload.data.size()));
-  }
-  if (comm_->world().trace().enabled()) {
-    sim::Proc& p = comm_->proc();
-    Bytes n = 0;
-    for (const SlotBlock& r : pending_reads_) n += r.len;
-    p.atomic([&] {
-      comm_->world().trace().record(p.rank(), fetch_begin, p.now(),
-                                    "tcio.fetch", n);
-    });
   }
   pending_reads_.clear();
   pending_segment_ = -1;
@@ -1130,8 +1110,10 @@ void File::die(const char* where) {
   // Fail-stop: this rank is gone. Closing the handle here keeps the
   // destructor from attempting the collective close sequence mid-unwind;
   // everything else (window memory, journal handle, staged bytes) dies with
-  // the process, exactly like a real crash.
+  // the process, exactly like a real crash. The modeled failure detector
+  // learns of the death here, at this rank's clock.
   open_ = false;
+  comm_->failStop();
   throw RankCrashedError("rank " + std::to_string(orig_rank_) +
                              " fail-stop crash (" + where + ")",
                          orig_rank_);
@@ -1183,18 +1165,7 @@ void File::agreeAndRecover(mpi::CapturedError err,
   // for that failure must again be collective.
   for (;;) {
     const mpi::LivenessOutcome out =
-        mpi::agreeWithLiveness(*comm_, err, epoch_++,
-                               cfg_.crash.liveness_window);
-    if (out.self_dead) {
-      // Some peer missed this rank inside the liveness window, and the union
-      // verdict has already declared it dead on every survivor; rejoining
-      // would desynchronize them.
-      open_ = false;
-      throw RankCrashedError(
-          "rank " + std::to_string(orig_rank_) +
-              " self-fenced: declared dead by liveness agreement",
-          orig_rank_);
-    }
+        mpi::agreeWithLiveness(*comm_, err, epoch_++);
     fold({out.code, out.what});
     if (out.dead.empty()) return;
     err = {};

@@ -359,8 +359,9 @@ class File {
   // -- Fail-stop crash tolerance (TcioConfig::crash, DESIGN.md §8) -----------
 
   /// Fires the rank's scheduled crash at this point, if armed: the rank
-  /// marks itself closed and unwinds with RankCrashedError — it never
-  /// touches the file, the window, or a collective again (fail-stop).
+  /// marks itself closed, records its crash for the failure detector
+  /// (Comm::failStop) and unwinds with RankCrashedError — it never touches
+  /// the file, the window, or a collective again (fail-stop).
   void crashPoint(CrashPoint point);
   [[noreturn]] void die(const char* where);
 
@@ -373,9 +374,8 @@ class File {
   /// until the dead set stops growing, handling each batch of deaths
   /// (shrink, takeover, replay) as it is agreed. Folds the agreed error
   /// outcome into `verdict` (the higher code wins) instead of throwing it,
-  /// so close() can release resources first. Throws RankCrashedError if
-  /// *this* rank is declared dead (self-fence). Falls back to one plain
-  /// error agreement when crash tolerance is off.
+  /// so close() can release resources first. Falls back to one plain error
+  /// agreement when crash tolerance is off.
   void agreeAndRecover(mpi::CapturedError err, mpi::CapturedError& verdict);
 
   /// Recovery for one agreed batch of deaths (ranks of the *current*

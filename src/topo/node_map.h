@@ -6,7 +6,8 @@
 // times more small messages on the NIC than the data requires. The NodeMap
 // is the ground truth the aggregation layer (node_aggregator.h) builds on:
 // it derives, collectively, an intra-node communicator (MPI_Comm_split by
-// node) and designates the lowest rank of each node as its *leader*.
+// node) and the ascending rank list of every node. Which rank leads a
+// node's exchange is the aggregator's business: it rotates per round.
 #pragma once
 
 #include <vector>
@@ -28,11 +29,6 @@ class NodeMap {
   int nodeOf(Rank r) const {
     return node_of_[static_cast<std::size_t>(r)];
   }
-  /// Communicator rank of node `n`'s leader (its lowest rank).
-  Rank leaderOf(int n) const {
-    return ranks_on_node_[static_cast<std::size_t>(n)].front();
-  }
-  bool isLeader() const { return leaderOf(my_node_) == comm_->rank(); }
   /// Communicator ranks hosted on node `n`, ascending.
   const std::vector<Rank>& ranksOnNode(int n) const {
     return ranks_on_node_[static_cast<std::size_t>(n)];
@@ -43,7 +39,7 @@ class NodeMap {
   /// The intra-node sub-communicator (every transfer inside it rides the
   /// node's memory bus, never the NIC).
   mpi::Comm& nodeComm() { return node_comm_; }
-  /// This rank's position within its node (leader == 0).
+  /// This rank's position within its node.
   Rank nodeRank() const { return node_comm_.rank(); }
   int nodeSize() const { return node_comm_.size(); }
 

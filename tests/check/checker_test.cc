@@ -298,6 +298,52 @@ TEST(CheckerDeadlockTest, RecvCycleReportedInsteadOfEngineTimeout) {
   }
 }
 
+TEST(CheckerDeadlockTest, RecvOrDeadCycleReportedLikeAPlainReceive) {
+  // recvOrDead registers the same wait-for edge as recv: two live ranks
+  // waiting on each other is still a named cycle, not a death.
+  mpi::JobConfig jc;
+  jc.num_ranks = 2;
+  try {
+    mpi::runJob(jc, [&](Comm& comm) {
+      int x = 0;
+      comm.recvOrDead(&x, sizeof(x), 1 - comm.rank(), /*tag=*/5);
+    });
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    const std::string msg = e.what();
+    expectContains(msg, "wait-for cycle");
+    expectContains(msg, "rank 0");
+    expectContains(msg, "rank 1");
+  }
+}
+
+TEST(CheckerDeadlockTest, WaitOnACrashedRankClosesNoCycle) {
+  // Rank 1 waits on rank 0 and rank 2 on rank 1; rank 0 crashes instead of
+  // answering. A crashed rank waits on nobody, so the chain is no cycle:
+  // rank 1 learns of the crash and releases rank 2.
+  mpi::JobConfig jc;
+  jc.num_ranks = 3;
+  mpi::runJob(jc, [&](Comm& comm) {
+    int x = 0;
+    switch (comm.rank()) {
+      case 0:
+        comm.proc().advance(1.0);
+        comm.failStop();
+        break;
+      case 1:
+        EXPECT_FALSE(comm.recvOrDead(&x, sizeof(x), 0, /*tag=*/7));
+        comm.send(&x, sizeof(x), 2, /*tag=*/7);
+        break;
+      default:
+        EXPECT_TRUE(comm.recvOrDead(&x, sizeof(x), 1, /*tag=*/7));
+        break;
+    }
+    if (comm.rank() == 2) {
+      EXPECT_EQ(comm.world().checker()->violations(), 0);
+    }
+  });
+}
+
 TEST(CheckerDeadlockTest, WaitAllWithSatisfiablePartnerIsNotACycle) {
   // Regression: waitAll is an AND-wait. Rank 0 blocks on BOTH an isend to 1
   // and an irecv from 1 while rank 1 is still blocked receiving from 0 — a

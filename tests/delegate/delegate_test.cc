@@ -417,7 +417,6 @@ TEST_P(DelegateCrashTest, ShardAdoptionLosesNoAcknowledgedByte) {
     core::TcioConfig cfg = delegated(kDelegates);
     cfg.crash.enabled = true;
     cfg.crash.journal = true;
-    cfg.crash.liveness_window = 0.25;
     cfg.faults.seed = 11;
     cfg.faults.crashes.push_back({/*rank=*/0, p.point, p.after});
     runSession(comm, fsys, cfg, [&](Session& s, Channel& ch) {
@@ -455,6 +454,45 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+TEST(DelegateCrashTest, SlowLiveDelegateIsNeverSuspected) {
+  // Crash tolerance on, no crash scheduled, and a file system so slow that
+  // every delegate reply takes far longer than any plausible timeout: a
+  // suspected delegate is a crashed delegate, so nobody is adopted.
+  fs::FsConfig fcfg = fsCfg();
+  fcfg.ost_request_overhead = 0.5;
+  fs::Filesystem fsys(fcfg);
+  core::TcioDelegateStats stats;
+  constexpr int kProcs = 6;
+  constexpr int kDelegates = 2;
+  constexpr int kClients = kProcs - kDelegates;
+  constexpr int kBlocks = 4;
+  mpi::runJob(job(kProcs, /*seed=*/13), [&](mpi::Comm& comm) {
+    core::TcioConfig cfg = delegated(kDelegates);
+    cfg.crash.enabled = true;
+    cfg.crash.journal = true;
+    runSession(comm, fsys, cfg, [&](Session& s, Channel& ch) {
+      const int c = s.clientComm().rank();
+      DFile f(ch, "slow.dat", fs::kWrite | fs::kCreate);
+      for (int b = 0; b < kBlocks; ++b) {
+        const Offset off =
+            (static_cast<Offset>(c) * kBlocks + b) * kSegment;
+        f.writeAt(off, clientBlock(c, off, kSegment));
+      }
+      EXPECT_EQ(f.close(), static_cast<Bytes>(kClients) * kBlocks * kSegment);
+    }, &stats);
+  });
+  EXPECT_EQ(stats.delegates_crashed, 0);
+  EXPECT_EQ(stats.shards_adopted, 0);
+  for (int c = 0; c < kClients; ++c) {
+    for (int b = 0; b < kBlocks; ++b) {
+      const Offset off = (static_cast<Offset>(c) * kBlocks + b) * kSegment;
+      EXPECT_EQ(peekBytes(fsys, "slow.dat", off, kSegment),
+                clientBlock(c, off, kSegment))
+          << "client " << c << " block " << b;
+    }
+  }
+}
+
 TEST(DelegateCrashTest, AdjacentDoubleDeathAdoptsBothShards) {
   // Delegates 0 and 1 both die during the put phase, so one agreement round
   // carries a two-entry verdict. The survivor must mark the whole verdict
@@ -471,7 +509,6 @@ TEST(DelegateCrashTest, AdjacentDoubleDeathAdoptsBothShards) {
     core::TcioConfig cfg = delegated(kDelegates);
     cfg.crash.enabled = true;
     cfg.crash.journal = true;
-    cfg.crash.liveness_window = 0.25;
     cfg.faults.seed = 31;
     cfg.faults.crashes.push_back({/*rank=*/0, CrashPoint::kMidJournal, 2});
     cfg.faults.crashes.push_back({/*rank=*/1, CrashPoint::kMidJournal, 2});
@@ -515,7 +552,6 @@ TEST(DelegateCrashTest, AdopterCrashBeforeDrainPreservesTheChain) {
     core::TcioConfig cfg = delegated(kDelegates);
     cfg.crash.enabled = true;
     cfg.crash.journal = true;
-    cfg.crash.liveness_window = 0.25;
     cfg.faults.seed = 37;
     cfg.faults.crashes.push_back({/*rank=*/0, CrashPoint::kMidJournal, 2});
     cfg.faults.crashes.push_back({/*rank=*/1, CrashPoint::kMidClose, 0});
@@ -564,7 +600,6 @@ TEST(DelegateCrashTest, AdopterDiesMidReplayChainFallsToOriginalJournals) {
     core::TcioConfig cfg = delegated(kDelegates);
     cfg.crash.enabled = true;
     cfg.crash.journal = true;
-    cfg.crash.liveness_window = 0.25;
     cfg.faults.seed = 41;
     cfg.faults.crashes.push_back({/*rank=*/0, CrashPoint::kMidJournal, 2});
     cfg.faults.crashes.push_back({/*rank=*/1, CrashPoint::kMidRecovery, 0});

@@ -1,12 +1,14 @@
 // Unit tests for the liveness-tracking agreement protocol in isolation
-// (no TCIO on top): all-live epochs agree on the max error class, a silent
-// rank is unanimously declared dead, survivors can run further epochs on
-// the shrunk membership, verdicts are deterministic, and the verdict wire
-// format stays compact (capped error text, no text on a clean epoch).
+// (no TCIO on top): all-live epochs agree on the max error class, a crashed
+// rank (Comm::failStop) is unanimously declared dead while a late live one
+// never is, survivors can run further epochs on the shrunk membership,
+// verdicts are deterministic, and the verdict wire format stays compact
+// (capped error text, no text on a clean epoch).
 #include "mpi/liveness.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -17,16 +19,20 @@
 namespace tcio::mpi {
 namespace {
 
-constexpr SimTime kWindow = 50.0e-3;
+/// True when the verdict declares `me` dead — never for a rank that is
+/// alive to read it.
+bool declaresDead(const LivenessOutcome& out, Rank me) {
+  return std::binary_search(out.dead.begin(), out.dead.end(), me);
+}
 
 TEST(LivenessTest, AllLiveNoErrorAgreesClean) {
   mpi::JobConfig jc;
   jc.num_ranks = 5;
   runJob(jc, [&](Comm& comm) {
     const LivenessOutcome out =
-        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow);
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0);
     EXPECT_TRUE(out.dead.empty());
-    EXPECT_FALSE(out.self_dead);
+    EXPECT_FALSE(declaresDead(out, comm.rank()));
     EXPECT_EQ(out.code, CapturedError::kNone);
   });
 }
@@ -51,7 +57,7 @@ TEST(LivenessTest, AllLiveMaxErrorClassWins) {
       }
     }
     const LivenessOutcome out =
-        agreeWithLiveness(comm, err, /*epoch=*/0, kWindow);
+        agreeWithLiveness(comm, err, /*epoch=*/0);
     EXPECT_TRUE(out.dead.empty());
     // kNoSpace outranks kTransientFs; every rank sees the same winner.
     EXPECT_EQ(out.code, CapturedError::kNoSpace);
@@ -64,11 +70,14 @@ TEST(LivenessTest, SilentRankUnanimouslyDeclaredDead) {
   jc.num_ranks = 6;
   std::array<std::vector<Rank>, 6> verdicts;
   runJob(jc, [&](Comm& comm) {
-    if (comm.rank() == 2) return;  // fail-stop: never calls the agreement
+    if (comm.rank() == 2) {  // fail-stop: never calls the agreement
+      comm.failStop();
+      return;
+    }
     const LivenessOutcome out =
-        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow);
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0);
     verdicts[static_cast<std::size_t>(comm.rank())] = out.dead;
-    EXPECT_FALSE(out.self_dead);
+    EXPECT_FALSE(declaresDead(out, comm.rank()));
     const std::vector<Rank> surv = out.survivors(comm.size());
     EXPECT_EQ(surv, (std::vector<Rank>{0, 1, 3, 4, 5}));
   });
@@ -77,6 +86,21 @@ TEST(LivenessTest, SilentRankUnanimouslyDeclaredDead) {
               (std::vector<Rank>{2}))
         << "rank " << r << " disagreed on the dead set";
   }
+}
+
+TEST(LivenessTest, LateLiveRankIsNeverSuspected) {
+  // Rank 3 enters the epoch a full second of virtual time after its peers:
+  // it is late, not dead, so nobody may suspect it and everyone waits.
+  mpi::JobConfig jc;
+  jc.num_ranks = 6;
+  runJob(jc, [&](Comm& comm) {
+    if (comm.rank() == 3) comm.proc().advance(1.0);
+    const LivenessOutcome out =
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0);
+    EXPECT_TRUE(out.dead.empty());
+    EXPECT_EQ(out.code, CapturedError::kNone);
+    EXPECT_GE(comm.proc().now(), 1.0);
+  });
 }
 
 TEST(LivenessTest, SurvivorsContinueAcrossEpochsAndShrink) {
@@ -89,15 +113,18 @@ TEST(LivenessTest, SurvivorsContinueAcrossEpochsAndShrink) {
       comm.bcast(&base, sizeof(base), 0);
       return base;
     }();
-    if (comm.rank() == 4) return;  // dies before epoch 0
+    if (comm.rank() == 4) {  // dies before epoch 0
+      comm.failStop();
+      return;
+    }
     const LivenessOutcome e0 =
-        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow);
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0);
     ASSERT_EQ(e0.dead, (std::vector<Rank>{4}));
     Comm shrunk = comm.shrink(e0.survivors(comm.size()), ctx);
     ASSERT_EQ(shrunk.size(), 4);
     // Epoch 1 on the shrunk communicator: everyone present, clean verdict.
     const LivenessOutcome e1 = agreeWithLiveness(shrunk, CapturedError{},
-                                                 /*epoch=*/1, kWindow);
+                                                 /*epoch=*/1);
     EXPECT_TRUE(e1.dead.empty());
     // The shrunk communicator supports plain collectives again.
     std::int64_t sum = shrunk.rank();
@@ -110,11 +137,14 @@ TEST(LivenessTest, TwoSilentRanksBothDeclaredDead) {
   mpi::JobConfig jc;
   jc.num_ranks = 6;
   runJob(jc, [&](Comm& comm) {
-    if (comm.rank() == 0 || comm.rank() == 5) return;
+    if (comm.rank() == 0 || comm.rank() == 5) {
+      comm.failStop();
+      return;
+    }
     const LivenessOutcome out =
-        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow);
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0);
     EXPECT_EQ(out.dead, (std::vector<Rank>{0, 5}));
-    EXPECT_FALSE(out.self_dead);
+    EXPECT_FALSE(declaresDead(out, comm.rank()));
   });
 }
 
@@ -132,11 +162,14 @@ TEST(LivenessTest, ManyRanksBeyondOneBitmapWord) {
       comm.bcast(&base, sizeof(base), 0);
       return base;
     }();
-    if (comm.rank() == 70) return;  // fail-stop, bit 6 of word 1
+    if (comm.rank() == 70) {  // fail-stop, bit 6 of word 1
+      comm.failStop();
+      return;
+    }
     const LivenessOutcome out =
-        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow);
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0);
     EXPECT_EQ(out.dead, (std::vector<Rank>{70}));
-    EXPECT_FALSE(out.self_dead);
+    EXPECT_FALSE(declaresDead(out, comm.rank()));
     Comm shrunk = comm.shrink(out.survivors(comm.size()), ctx);
     ASSERT_EQ(shrunk.size(), 71);
     std::int64_t sum = 1;
@@ -153,11 +186,14 @@ TEST(LivenessTest, LongErrorTextIsCappedOnEverySurvivor) {
   mpi::JobConfig jc;
   jc.num_ranks = 5;
   runJob(jc, [&](Comm& comm) {
-    if (comm.rank() == 4) return;  // fail-stop
+    if (comm.rank() == 4) {  // fail-stop
+      comm.failStop();
+      return;
+    }
     CapturedError err;
     if (comm.rank() == 2) err = {CapturedError::kNoSpace, text};
     const LivenessOutcome out =
-        agreeWithLiveness(comm, err, /*epoch=*/0, kWindow);
+        agreeWithLiveness(comm, err, /*epoch=*/0);
     EXPECT_EQ(out.dead, (std::vector<Rank>{4}));
     EXPECT_EQ(out.code, CapturedError::kNoSpace);
     EXPECT_EQ(out.what.size(), 159u);
@@ -172,7 +208,7 @@ TEST(LivenessTest, ShortErrorTextArrivesIntact) {
     CapturedError err;
     if (comm.rank() == 3) err = {CapturedError::kOstFailed, "ost 5 failed"};
     const LivenessOutcome out =
-        agreeWithLiveness(comm, err, /*epoch=*/0, kWindow);
+        agreeWithLiveness(comm, err, /*epoch=*/0);
     EXPECT_EQ(out.code, CapturedError::kOstFailed);
     EXPECT_EQ(out.what, "ost 5 failed");
   });
@@ -197,7 +233,7 @@ TEST(LivenessTest, CleanEpochMovesOnlyVotesHeadersAndBitmaps) {
     if (comm.rank() == 0) comm.proc().atomic([&] { before = net.bytesMoved(); });
     comm.barrier();
     const LivenessOutcome out =
-        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0, kWindow);
+        agreeWithLiveness(comm, CapturedError{}, /*epoch=*/0);
     EXPECT_TRUE(out.dead.empty());
     EXPECT_TRUE(out.what.empty());
     comm.barrier();
@@ -213,9 +249,12 @@ TEST(LivenessTest, DeterministicVerdictAndTiming) {
     jc.num_ranks = 6;
     SimTime t_after = 0;
     const JobResult jr = runJob(jc, [&](Comm& comm) {
-      if (comm.rank() == 3) return;
+      if (comm.rank() == 3) {
+        comm.failStop();
+        return;
+      }
       const LivenessOutcome out = agreeWithLiveness(
-          comm, CapturedError{}, /*epoch=*/0, kWindow);
+          comm, CapturedError{}, /*epoch=*/0);
       EXPECT_EQ(out.dead, (std::vector<Rank>{3}));
       if (comm.rank() == 0) t_after = comm.proc().now();
     });

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "mpi/mpi.h"
@@ -154,6 +155,133 @@ TEST(P2pTest, MissingSenderDeadlocks) {
                         if (comm.rank() == 1) comm.recv(&v, 4, 0, 0);
                       }),
                DeadlockError);
+}
+
+// -- Fail-stop receive (Comm::recvOrDead / failStop) --------------------------
+
+TEST(P2pTest, RecvOrDeadDeliversWhatTheSourceSentBeforeItCrashed) {
+  runJob(cfg(2), [](Comm& comm) {
+    if (comm.rank() == 0) {
+      const int v = 42;
+      comm.send(&v, 4, 1, 3);
+      comm.proc().advance(1.0);
+      comm.failStop();
+      return;
+    }
+    comm.proc().advance(2.0);
+    int got = 0;
+    RecvStatus st;
+    ASSERT_TRUE(comm.recvOrDead(&got, 4, 0, 3, &st));
+    EXPECT_EQ(got, 42);
+    EXPECT_EQ(st.source, 0);
+    EXPECT_EQ(st.count, 4);
+    // Nothing else is queued and the source is gone: a receive posted after
+    // the crash was detected returns at once, at the caller's own clock.
+    EXPECT_FALSE(comm.recvOrDead(&got, 4, 0, 3));
+    EXPECT_DOUBLE_EQ(comm.proc().now(), 2.0);
+  });
+}
+
+TEST(P2pTest, RecvOrDeadPostedBeforeTheCrashCompletesAtDetection) {
+  runJob(cfg(3), [](Comm& comm) {
+    int v = 0;
+    switch (comm.rank()) {
+      case 0:
+        comm.proc().advance(1.0);
+        comm.failStop();
+        break;
+      case 1:  // posted at t=0, long before the crash
+        EXPECT_FALSE(comm.recvOrDead(&v, 4, 0, 0));
+        EXPECT_DOUBLE_EQ(comm.proc().now(), 1.0 + kFailureDetectionDelay);
+        break;
+      default:  // posted after the crash but before its detection
+        comm.proc().advance(1.0 + kFailureDetectionDelay / 2);
+        EXPECT_FALSE(comm.recvOrDead(&v, 4, 0, 0));
+        EXPECT_DOUBLE_EQ(comm.proc().now(), 1.0 + kFailureDetectionDelay);
+        break;
+    }
+  });
+}
+
+TEST(P2pTest, RecvOrDeadWaitsForALateLiveSource) {
+  // No deadline: a live source is waited for however late it sends.
+  runJob(cfg(2), [](Comm& comm) {
+    double x = 0;
+    if (comm.rank() == 0) {
+      comm.proc().advance(5.0);
+      x = 2.5;
+      comm.send(&x, 8, 1, 0);
+    } else {
+      ASSERT_TRUE(comm.recvOrDead(&x, 8, 0, 0));
+      EXPECT_EQ(x, 2.5);
+      EXPECT_GT(comm.proc().now(), 5.0);
+    }
+  });
+}
+
+TEST(P2pTest, RecvOrDeadFromASilentLiveSourceDeadlocks) {
+  // A rank that returns without failStop is not dead: the wait is a true
+  // deadlock, reported as one rather than turned into a false death.
+  EXPECT_THROW(runJob(cfg(2),
+                      [](Comm& comm) {
+                        int v;
+                        if (comm.rank() == 1) comm.recvOrDead(&v, 4, 0, 0);
+                      }),
+               DeadlockError);
+}
+
+TEST(P2pTest, RecvOrDeadClocksAreDeterministic) {
+  auto once = [] {
+    constexpr int P = 8;
+    std::vector<std::pair<int, SimTime>> log;
+    runJob(cfg(P), [&](Comm& comm) {
+      const Rank r = comm.rank();
+      // Even ranks send to their right neighbour, then crash at staggered
+      // times; odd ranks receive twice from their left neighbour after
+      // staggered delays, so some hits, some detections while waiting and
+      // some after-the-fact detections mix.
+      if (r % 2 == 0) {
+        const int v = r;
+        comm.proc().advance(0.01 * r);
+        comm.send(&v, 4, r + 1, 0);
+        comm.proc().advance(0.02 * r);
+        comm.failStop();
+        return;
+      }
+      comm.proc().advance(0.015 * r);
+      for (int k = 0; k < 2; ++k) {
+        int v = -1;
+        const bool got = comm.recvOrDead(&v, 4, r - 1, 0);
+        comm.proc().atomic(
+            [&] { log.emplace_back(got ? v : -r, comm.proc().now()); });
+      }
+    });
+    return log;
+  };
+  const auto a = once();
+  EXPECT_EQ(a, once());
+  ASSERT_EQ(a.size(), 8u);
+}
+
+TEST(P2pTest, TryRecvTakesOnlyQueuedMessages) {
+  runJob(cfg(2), [](Comm& comm) {
+    int v = 0;
+    if (comm.rank() == 0) {
+      comm.proc().advance(1.0);
+      v = 7;
+      comm.send(&v, 4, 1, 0);
+      return;
+    }
+    RecvStatus st;
+    EXPECT_FALSE(comm.tryRecv(&v, 4, kAnySource, 0, &st));  // nothing yet
+    EXPECT_DOUBLE_EQ(comm.proc().now(), 0.0);
+    comm.proc().advance(3.0);
+    ASSERT_TRUE(comm.tryRecv(&v, 4, kAnySource, 0, &st));
+    EXPECT_EQ(v, 7);
+    EXPECT_EQ(st.source, 0);
+    EXPECT_DOUBLE_EQ(comm.proc().now(), 3.0);
+    EXPECT_FALSE(comm.tryRecv(&v, 4, kAnySource, 0));  // consumed
+  });
 }
 
 TEST(P2pTest, LargeMessageTakesLongerThanSmall) {

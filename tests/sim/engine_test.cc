@@ -216,176 +216,6 @@ TEST(EngineTest, ManyRanksInterleaveCorrectly) {
   EXPECT_DOUBLE_EQ(eng.makespan(), static_cast<double>(P));
 }
 
-// -- Timed waits (Proc::waitUntil) -------------------------------------------
-
-TEST(EngineTest, WaitUntilReturnsTrueAtCompletionBeforeDeadline) {
-  Engine eng(cfg(2));
-  Event ev;
-  eng.run([&](Proc& p) {
-    if (p.rank() == 0) {
-      EXPECT_TRUE(p.waitUntil(ev, 10.0, "timed"));
-      EXPECT_DOUBLE_EQ(p.now(), 3.0);
-    } else {
-      p.advance(3.0);
-      p.atomic([&] { p.complete(ev, p.now()); });
-    }
-  });
-}
-
-TEST(EngineTest, WaitUntilTimesOutAtDeadlineAndWithdraws) {
-  // After the timeout, a late complete() of the same event must not wake
-  // rank 0 out of its next, unrelated wait.
-  Engine eng(cfg(2));
-  Event ev;
-  Event ev2;
-  eng.run([&](Proc& p) {
-    if (p.rank() == 0) {
-      EXPECT_FALSE(p.waitUntil(ev, 2.0, "timed"));
-      EXPECT_DOUBLE_EQ(p.now(), 2.0);
-      p.wait(ev2, "second");
-      EXPECT_DOUBLE_EQ(p.now(), 7.0);
-    } else {
-      p.advance(5.0);
-      p.atomic([&] { p.complete(ev, p.now()); });
-      p.advance(2.0);
-      p.atomic([&] { p.complete(ev2, p.now()); });
-    }
-  });
-  EXPECT_TRUE(ev.ready());
-  EXPECT_DOUBLE_EQ(eng.makespan(), 7.0);
-}
-
-TEST(EngineTest, LateCompleteAfterTimeoutFindsNoWaiter) {
-  // Rank 0 is running (not blocked) when the event completes; a waiter left
-  // behind by the timeout would fail complete()'s blocked-waiter check.
-  Engine eng(cfg(2));
-  Event ev;
-  EXPECT_NO_THROW(eng.run([&](Proc& p) {
-    if (p.rank() == 0) {
-      EXPECT_FALSE(p.waitUntil(ev, 1.0, "timed"));
-      p.advance(9.0);
-      p.atomic([] {});
-    } else {
-      p.advance(4.0);
-      p.atomic([&] { p.complete(ev, p.now()); });
-    }
-  }));
-}
-
-TEST(EngineTest, WaitUntilWithPastDeadlineReturnsAtOnce) {
-  Engine eng(cfg(1));
-  Event pending;
-  Event done;
-  eng.run([&](Proc& p) {
-    p.advance(5.0);
-    // A single rank that blocked here would deadlock; it must not gate.
-    EXPECT_FALSE(p.waitUntil(pending, 5.0, "probe"));
-    EXPECT_FALSE(p.waitUntil(pending, 3.0, "probe"));
-    EXPECT_DOUBLE_EQ(p.now(), 5.0);
-    p.atomic([&] { p.complete(done, 6.0); });
-    // A completed event wins even past the deadline.
-    EXPECT_TRUE(p.waitUntil(done, 1.0, "probe"));
-    EXPECT_DOUBLE_EQ(p.now(), 6.0);
-  });
-  EXPECT_EQ(eng.eventCount(), 1);
-}
-
-TEST(EngineTest, DeadlineTiesBreakByRankId) {
-  // The timer is the gate key (deadline, rank): a completion at exactly the
-  // deadline counts only when the completer's rank id is lower.
-  Engine eng(cfg(3));
-  Event from_lower;
-  Event from_higher;
-  eng.run([&](Proc& p) {
-    switch (p.rank()) {
-      case 0:
-        p.advance(2.0);
-        p.atomic([&] { p.complete(from_lower, p.now()); });
-        break;
-      case 1:
-        EXPECT_TRUE(p.waitUntil(from_lower, 2.0, "tie low"));
-        EXPECT_DOUBLE_EQ(p.now(), 2.0);
-        EXPECT_FALSE(p.waitUntil(from_higher, 4.0, "tie high"));
-        EXPECT_DOUBLE_EQ(p.now(), 4.0);
-        break;
-      default:
-        p.advance(4.0);
-        p.atomic([&] { p.complete(from_higher, p.now()); });
-        break;
-    }
-  });
-}
-
-TEST(EngineTest, TimedWaiterKeepsDeadlockDetectorQuietUntilItFires) {
-  // Ranks 1 and 2 block in plain waits; rank 0's timer keeps the job
-  // runnable, and after the timeout rank 0 releases them.
-  {
-    Engine eng(cfg(3));
-    Event never;
-    Event release;
-    EXPECT_NO_THROW(eng.run([&](Proc& p) {
-      if (p.rank() == 0) {
-        EXPECT_FALSE(p.waitUntil(never, 4.0, "timed"));
-        p.atomic([&] { p.complete(release, p.now()); });
-      } else {
-        p.wait(release, "release");
-        EXPECT_DOUBLE_EQ(p.now(), 4.0);
-      }
-    }));
-  }
-  // Without the release the deadlock is real — and only reported once the
-  // timer has fired.
-  Engine eng(cfg(3));
-  Event never;
-  Event release;
-  bool timed_out = false;
-  try {
-    eng.run([&](Proc& p) {
-      if (p.rank() == 0) {
-        timed_out = !p.waitUntil(never, 4.0, "timed");
-      } else {
-        p.wait(release, "never released");
-      }
-    });
-    FAIL() << "expected DeadlockError";
-  } catch (const DeadlockError& e) {
-    EXPECT_TRUE(timed_out);
-    EXPECT_NE(std::string(e.what()).find("never released"), std::string::npos);
-  }
-}
-
-TEST(EngineTest, TimedWaitsAreDeterministic) {
-  // Ring of timed waits with staggered completions and deadlines: some
-  // complete, some time out. Two runs must give identical clocks and the
-  // same outcome log.
-  auto once = [] {
-    constexpr int P = 12;
-    Engine eng(cfg(P, 7));
-    std::vector<Event> evs(P);
-    std::vector<std::pair<int, double>> log;
-    eng.run([&](Proc& p) {
-      const int r = p.rank();
-      p.advance(0.1 * static_cast<double>(r % 5));
-      p.atomic([&] {
-        p.complete(evs[static_cast<std::size_t>((r + 1) % P)], p.now());
-      });
-      const double deadline = 0.05 * static_cast<double>(r * 3 % 7);
-      const bool got =
-          p.waitUntil(evs[static_cast<std::size_t>(r)], deadline, "ring");
-      p.atomic([&] { log.emplace_back(got ? r : -r - 1, p.now()); });
-    });
-    return std::pair(log, eng.makespan());
-  };
-  const auto a = once();
-  const auto b = once();
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
-  int timeouts = 0;
-  for (const auto& [who, t] : a.first) timeouts += who < 0 ? 1 : 0;
-  EXPECT_GT(timeouts, 0);
-  EXPECT_LT(timeouts, 12);
-}
-
 TEST(EngineTest, RunTwiceIsRejected) {
   Engine eng(cfg(1));
   eng.run([](Proc&) {});

@@ -260,8 +260,8 @@ INSTANTIATE_TEST_SUITE_P(
         CrashParam{CrashPoint::kMidClose, 0, Mode::kEager},
         // Unjournaled loss is reported, never silent.
         CrashParam{CrashPoint::kMidClose, 0, Mode::kLazy, /*journal=*/false},
-        // Combined faults: a straggler OST (skew under the liveness window)
-        // and transient EIO (retry loops) layered on a crash.
+        // Combined faults: a straggler OST (arrival skew) and transient
+        // EIO (retry loops) layered on a crash.
         CrashParam{CrashPoint::kAtCollective, 1, Mode::kLazy, true,
                    /*straggler=*/true, false},
         CrashParam{CrashPoint::kMidRma, 0, Mode::kLazy, true, false,

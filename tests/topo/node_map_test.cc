@@ -43,10 +43,8 @@ TEST(NodeMapTest, MatchesNetworkTopology) {
     for (Rank r = 0; r < comm.size(); ++r) {
       EXPECT_EQ(map.nodeOf(r), r / 3);
     }
-    EXPECT_EQ(map.leaderOf(0), 0);
-    EXPECT_EQ(map.leaderOf(1), 3);
-    EXPECT_EQ(map.leaderOf(2), 6);
-    EXPECT_EQ(map.isLeader(), comm.rank() % 3 == 0);
+    EXPECT_EQ(map.ranksOnNode(1), (std::vector<Rank>{3, 4, 5}));
+    EXPECT_EQ(map.ranksOnNode(2), (std::vector<Rank>{6, 7}));
     const std::vector<Rank>& mine = map.ranksOnNode(map.myNode());
     EXPECT_EQ(static_cast<int>(mine.size()), map.nodeSize());
     EXPECT_EQ(map.nodeComm().size(), comm.rank() < 6 ? 3 : 2);
@@ -60,7 +58,7 @@ TEST(NodeMapTest, SingleNodeDegeneratesToOneGroup) {
     NodeMap map(comm);
     EXPECT_EQ(map.numNodes(), 1);
     EXPECT_EQ(map.myNode(), 0);
-    EXPECT_EQ(map.leaderOf(0), 0);
+    EXPECT_EQ(map.ranksOnNode(0), (std::vector<Rank>{0, 1, 2, 3}));
     EXPECT_EQ(map.nodeComm().size(), comm.size());
   });
 }
@@ -128,7 +126,8 @@ TEST(NodeAggregatorTest, ScatterToRanksDeliversPerRankBlobs) {
     NodeMap map(comm);
     NodeAggregator agg(map, /*slot_bytes=*/1024);
     std::vector<std::vector<std::byte>> per_rank;
-    if (map.isLeader()) {
+    // Before any exchange the active leader is each node's first rank.
+    if (agg.isActiveLeader()) {
       for (int q = 0; q < map.nodeSize(); ++q) {
         const Rank target = map.ranksOnNode(map.myNode())[
             static_cast<std::size_t>(q)];
