@@ -14,7 +14,8 @@
 # A second leg per seed soaks the I/O delegate subsystem (src/delegate/,
 # DESIGN.md §10) with TCIO_DELEGATES>0 in the environment: delegate crash
 # adoption, in-delegate fault retry, and the open/write/close churn must all
-# converge under the checker as well.
+# converge under the checker as well. Odd seeds run it with integrity on
+# (TCIO_INTEGRITY=1), so adopted shards are ledgered and verified too.
 #
 # A third leg per seed soaks the silent-corruption matrix (DESIGN.md §11) —
 # seeded bit-flips at the staging-frame / window / stored-block / journal-body
@@ -76,7 +77,8 @@ for ((seed = 1; seed <= SEEDS; seed++)); do
     TCIO_FAULT_SEED="$seed" TCIO_CHECK=1
   run_leg delegate "$seed" "/tmp/fault_soak_delegate_$seed.log" "$BUILD" \
     'DelegateCrashTest|DelegateFaultTest|DelegateChurnTest' \
-    TCIO_FAULT_SEED="$seed" TCIO_CHECK=1 TCIO_DELEGATES="$DELEGATES"
+    TCIO_FAULT_SEED="$seed" TCIO_CHECK=1 TCIO_DELEGATES="$DELEGATES" \
+    TCIO_INTEGRITY="$((seed % 2))"
   run_leg corruption "$seed" "/tmp/fault_soak_corruption_$seed.log" \
     "$SAN_BUILD" \
     'TcioIntegrity|TcioStoredBlock|TcioJournalBody|DelegateIntegrity' \

@@ -36,7 +36,7 @@ enum class CrashPoint {
   kMidClose,      // during the close-time drain, between segment writes
   kMidRecovery,   // inside recovery itself: an adopter dies mid-WAL-replay
                   // (per adopted segment in File::replayOrphans; per
-                  // re-appended record — torn — in delegate adoptShard)
+                  // replayed record in delegate adoptShard)
 };
 
 /// One scheduled fail-stop crash: rank `rank` dies at the `after`-th

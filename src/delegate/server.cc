@@ -286,7 +286,7 @@ void Server::servePut(Pending& p) {
       }
       check += len;
     }
-    chargeChecksum(p.h.payload_bytes);
+    core::chargeChecksum(comm_->proc(), p.h.payload_bytes);
     if (!clean) {
       if (p.retries >= 1) {
         ++stats_.unrepairable;
@@ -427,7 +427,7 @@ void Server::serveGet(Pending& p) {
   if (integrity_on_) {
     reply_crc = crc32({dst, static_cast<std::size_t>(total)});
     has_reply_crc = 1;
-    chargeChecksum(total);
+    core::chargeChecksum(comm_->proc(), total);
   }
   --data_queued_;  // queue slot freed; the frame is held until kGetAck
   p.frame = -1;    // ownership moved to the client — the error path must
@@ -449,35 +449,40 @@ void Server::serveClose(Pending& p) {
 }
 
 Bytes Server::drainAndClose(FileState& f) {
-  check::Checker* ck = comm_->world().checker();
   Bytes local_max = 0;
   for (auto& [g, sb] : f.segs) {
     if (sb.extents.empty()) continue;
     // Last crossing before the store: scrub the whole shard segment against
     // its ledger so corruption-at-rest never reaches an OST.
     if (integrity_on_) verifySegment(f, g, sb);
-    const std::vector<Extent> merged = mpi::normalizeOverlapping(sb.extents);
-    const Offset base = g * s_->config().segment_size;
-    for (const Extent& run : merged) {
-      crashPoint(CrashPoint::kMidClose);
-      client_.pwrite(f.fsfile, base + run.begin, sb.data.data() + run.begin,
-                     run.size());
-      ++stats_.batches;
-    }
-    stats_.batched_extents += sb.raw_extents;
-    local_max = std::max<Bytes>(local_max, base + merged.back().end);
-    if (ck != nullptr) {
-      comm_->proc().atomic(
-          [&] { ck->onDrain(f.name, g, me_, "delegate::Server::drain"); });
-    }
+    local_max = std::max(local_max, writeSegment(f, f.fsfile, g, sb,
+                                                 /*close_drain=*/true));
   }
   if (f.journal != nullptr) f.journal->commit();
   client_.close(f.fsfile);
   f.drained = true;
-  if (ck != nullptr) {
+  if (check::Checker* ck = comm_->world().checker()) {
     comm_->proc().atomic([&] { ck->onFileClosed(f.name, local_max, me_); });
   }
   return local_max;
+}
+
+Bytes Server::writeSegment(FileState& f, fs::FsFile& file, SegmentId g,
+                           SegBuf& sb, bool close_drain) {
+  const std::vector<Extent> merged = mpi::normalizeOverlapping(sb.extents);
+  const Offset base = g * s_->config().segment_size;
+  for (const Extent& run : merged) {
+    if (close_drain) crashPoint(CrashPoint::kMidClose);
+    client_.pwrite(file, base + run.begin, sb.data.data() + run.begin,
+                   run.size());
+    ++stats_.batches;
+  }
+  stats_.batched_extents += sb.raw_extents;
+  if (check::Checker* ck = comm_->world().checker()) {
+    comm_->proc().atomic(
+        [&] { ck->onDrain(f.name, g, me_, "delegate::Server::drain"); });
+  }
+  return base + merged.back().end;
 }
 
 void Server::serveAdopt(Pending& p) {
@@ -496,12 +501,12 @@ void Server::serveAdopt(Pending& p) {
   }
   // Chain scan: adopt every dead delegate whose shard currently falls to
   // this server and whose WAL it has not replayed yet — not just this
-  // round's victims. When an ADOPTER dies (possibly mid-re-append, leaving a
-  // torn copy in its own WAL), the delegates it had adopted re-route to the
-  // next live adopter, which must replay their ORIGINAL journals: the dead
-  // adopter's WAL alone cannot be trusted to carry the chain. Replay runs in
-  // death order so a record's gen n+1 copy always lands after its original;
-  // duplicate applications are byte-identical and therefore idempotent.
+  // round's victims. When an ADOPTER dies (possibly mid-replay), the
+  // delegates it had adopted re-route to the next live adopter, which must
+  // replay their ORIGINAL journals: an adopter never copies adopted records
+  // into its own WAL. Replay runs in death order so last-writer-wins
+  // resolves identically on every survivor; duplicate applications are
+  // byte-identical and therefore idempotent.
   for (const int dead : death_order_) {
     if (s_->adopterOf(dead) != me_) continue;
     if (my_adopted_.count(dead) != 0) continue;
@@ -522,93 +527,39 @@ void Server::adoptShard(int dead) {
     }
     const core::Journal::Parsed parsed =
         core::Journal::readAndParse(client_, core::journalPath(f.name, dead));
-    if (parsed.records.empty()) continue;
-    if (!f.drained) {
-      // Replay into the shard buffers; the coming drain writes them out.
-      // Each record is re-appended to this delegate's own WAL (generation
-      // bumped) so verifySegment's corruption repair can replay adopted
-      // bytes from the local journal. Chain durability does NOT depend on
-      // these copies: serveAdopt's death-order scan re-replays the original
-      // owners' journals at the next adopter, so a death right here — torn
-      // copy and all — loses nothing.
-      if (f.journal == nullptr) {
-        f.journal = std::make_unique<core::Journal>(
-            client_, core::journalPath(f.name, me_));
+    // Replay into the shard buffers, exactly as the dead delegate's puts
+    // were applied: the coming drain writes them out, or, when this file
+    // already drained here, the drain's own per-segment writer runs below.
+    std::set<SegmentId> replayed;
+    for (const core::Journal::Record& r : parsed.records) {
+      ++stats_.journal_records_replayed;
+      // Cascade: the adopter dies mid-replay. Its half-filled buffers die
+      // with it; the next adopter's chain scan replays the same original
+      // journal again.
+      crashPoint(CrashPoint::kMidRecovery);
+      SegBuf& sb = segBuf(f, r.seg);
+      std::memcpy(sb.data.data() + r.disp, r.payload.data(),
+                  r.payload.size());
+      if (integrity_on_) {
+        sb.ledger.append(r.disp, r.payload, crc32(r.payload));
       }
-      f.journal->batchBegin();  // one device write for the adopted log
-      for (const core::Journal::Record& r : parsed.records) {
-        // Adopted copies (gen > 0) are not applied here: the death-order
-        // chain scan replays the ORIGINAL owner's journal at whichever live
-        // server that shard routes to, and applying the copy too would
-        // double-drain the segment.
-        if (r.gen > 0) continue;
-        ++stats_.journal_records_replayed;
-        if (crash_plan_ != nullptr &&
-            crash_plan_->fires(CrashPoint::kMidRecovery)) {
-          // Cascade: the adopter dies mid-re-append. The copy tears in this
-          // WAL and the parse scan at the NEXT adopter drops it.
-          const std::int64_t frame_len =
-              core::Journal::kHeaderBytes +
-              static_cast<std::int64_t>(r.payload.size());
-          f.journal->append(r.seg, r.disp, r.payload,
-                            crash_plan_->tornBytes(frame_len), r.gen + 1);
-          die();
-        }
-        f.journal->append(r.seg, r.disp, r.payload, /*torn_prefix=*/-1,
-                          r.gen + 1);
-        SegBuf& sb = segBuf(f, r.seg);
-        std::memcpy(sb.data.data() + r.disp, r.payload.data(),
-                    r.payload.size());
-        if (integrity_on_) {
-          sb.ledger.append(r.disp, r.payload, crc32(r.payload));
-        }
-        sb.extents.push_back(
-            {r.disp, r.disp + static_cast<Offset>(r.payload.size())});
-        ++sb.raw_extents;
-        if (ck != nullptr) {
-          comm_->proc().atomic([&] {
-            ck->noteRemap(f.name, r.seg, me_);
-            ck->noteDirty(f.name, r.seg);
-          });
-        }
+      sb.extents.push_back(
+          {r.disp, r.disp + static_cast<Offset>(r.payload.size())});
+      ++sb.raw_extents;
+      replayed.insert(r.seg);
+      if (ck != nullptr) {
+        comm_->proc().atomic([&] {
+          ck->noteRemap(f.name, r.seg, me_);
+          ck->noteDirty(f.name, r.seg);
+        });
       }
-      f.journal->batchEnd();
-    } else {
-      // The file already drained here: write the dead shard's journaled
-      // bytes straight to the file (merged runs, like a drain would).
-      fs::FsFile ff = client_.open(f.name, fs::kWrite);
-      std::map<SegmentId, std::pair<std::vector<std::byte>,
-                                    std::vector<Extent>>> segs;
-      for (const core::Journal::Record& r : parsed.records) {
-        if (r.gen > 0) continue;  // copies: the chain scan replays originals
-        ++stats_.journal_records_replayed;
-        auto& [data, exts] = segs[r.seg];
-        if (data.empty()) {
-          data.assign(static_cast<std::size_t>(s_->config().segment_size),
-                      std::byte{0});
-        }
-        std::memcpy(data.data() + r.disp, r.payload.data(),
-                    r.payload.size());
-        exts.push_back({r.disp, r.disp + static_cast<Offset>(
-                                             r.payload.size())});
-      }
-      for (const auto& [g, rec] : segs) {
-        const Offset base = g * s_->config().segment_size;
-        for (const Extent& run : mpi::normalizeOverlapping(rec.second)) {
-          client_.pwrite(ff, base + run.begin, rec.first.data() + run.begin,
-                         run.size());
-          ++stats_.batches;
-        }
-        if (ck != nullptr) {
-          comm_->proc().atomic([&] {
-            ck->noteRemap(f.name, g, me_);
-            ck->noteDirty(f.name, g);
-            ck->onDrain(f.name, g, me_, "delegate::Server::adopt");
-          });
-        }
-      }
-      client_.close(ff);
     }
+    if (!f.drained || replayed.empty()) continue;
+    fs::FsFile ff = client_.open(f.name, fs::kWrite);
+    for (const SegmentId g : replayed) {
+      writeSegment(f, ff, g, f.segs.at(g), /*close_drain=*/false);
+    }
+    client_.close(ff);
   }
 }
 
@@ -629,39 +580,22 @@ void Server::serveShutdown(Pending& p) {
 
 // -- End-to-end integrity at the delegate (DESIGN.md §11) ---------------------
 
-void Server::chargeChecksum(Bytes n) {
-  comm_->proc().advance(static_cast<double>(n) / kChecksumBandwidth);
-}
-
 void Server::verifySegment(FileState& f, SegmentId g, SegBuf& sb) {
-  if (sb.ledger.empty()) return;
-  const core::SegmentLedger::Tally t = sb.ledger.verify(sb.data.data());
-  stats_.crc_checks += t.runs;
-  stats_.crc_mismatches += t.mismatches;
-  chargeChecksum(t.bytes);
-  if (t.mismatches == 0) return;
-  // Repair from this delegate's WAL: with integrity on, every acknowledged
-  // put was journaled first, so replaying the segment's records in append
-  // order reconstructs exactly the bytes the ledger digests were taken over.
-  if (f.journal == nullptr) {
-    ++stats_.unrepairable;
-    throw IntegrityError("delegate " + std::to_string(me_) + ": segment " +
-                         std::to_string(g) + " corrupt with no WAL to replay");
-  }
-  const core::Journal::Parsed parsed =
-      core::Journal::readAndParse(client_, core::journalPath(f.name, me_));
-  for (const core::Journal::Record& r : parsed.records) {
-    if (r.seg != g) continue;
-    std::memcpy(sb.data.data() + r.disp, r.payload.data(), r.payload.size());
-  }
-  const core::SegmentLedger::Tally again = sb.ledger.verify(sb.data.data());
-  chargeChecksum(again.bytes);
-  if (again.mismatches != 0) {
-    ++stats_.unrepairable;
-    throw IntegrityError("delegate " + std::to_string(me_) + ": segment " +
-                         std::to_string(g) + " still corrupt after WAL replay");
-  }
-  ++stats_.repaired;
+  // Repair sources: the first-hand journals of the delegates this server
+  // adopted, in death order, then its own — the order their records were
+  // applied to this shard.
+  const auto sources = [&] {
+    std::vector<Rank> ranks;
+    for (const int d : death_order_) {
+      if (my_adopted_.count(d) != 0) ranks.push_back(d);
+    }
+    if (f.journal != nullptr) ranks.push_back(me_);
+    return ranks;
+  };
+  core::verifyOrRepair(sb.ledger, sb.data.data(), g, f.name, sources, client_,
+                       comm_->proc(),
+                       {stats_.crc_checks, stats_.crc_mismatches,
+                        stats_.repaired, stats_.unrepairable});
 }
 
 std::byte* Server::frameData(std::int64_t frame) {

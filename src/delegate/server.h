@@ -108,6 +108,15 @@ class Server {
   /// Writes the shard's dirty extents, commits the WAL and closes the file;
   /// returns the delegate-local max written file extent.
   Bytes drainAndClose(FileState& f);
+  /// The drain's per-segment writer: one pwrite per maximal merged run of
+  /// `sb`'s dirty extents through `file`, then the checker's drain report.
+  /// `close_drain` arms the kMidClose crash point between runs. Returns one
+  /// past the last byte written.
+  Bytes writeSegment(FileState& f, fs::FsFile& file, SegmentId g, SegBuf& sb,
+                     bool close_drain);
+  /// Replays dead delegate `dead`'s journal into this server's shard
+  /// buffers; a file that already drained here has the replayed segments
+  /// written at once by writeSegment.
   void adoptShard(int dead);
 
   FileState& fileFor(std::uint64_t key);
@@ -123,12 +132,12 @@ class Server {
   void noteAdoptedSegment(FileState& f, SegmentId g);
 
   // End-to-end integrity at the delegate (DESIGN.md §11).
-  /// Re-verifies every ledgered digest of `g`; on mismatch replays this
-  /// delegate's WAL for the segment and re-verifies. Throws IntegrityError
-  /// when no journal exists or the replayed bytes still mismatch.
+  /// Re-verifies every ledgered digest of `g`; on mismatch replays the
+  /// segment's records from the journals of the delegates this server
+  /// adopted, in death order, then from its own, and re-verifies
+  /// (core::verifyOrRepair). Throws IntegrityError when no journal exists
+  /// or the replayed bytes still mismatch.
   void verifySegment(FileState& f, SegmentId g, SegBuf& sb);
-  /// Charges digest throughput (kChecksumBandwidth).
-  void chargeChecksum(Bytes n);
 
   Session* s_;
   mpi::Comm* comm_;
@@ -138,10 +147,9 @@ class Server {
   bool integrity_on_ = false;
   int me_;  // delegate index == session rank
 
-  /// Agreed delegate deaths, oldest first. Replaying adopted WALs in death
-  /// order keeps cascaded recovery deterministic: a record's re-appended
-  /// copy (gen n+1) always lands after its original in every survivor's
-  /// replay, so last-writer-wins resolves identically everywhere.
+  /// Agreed delegate deaths, oldest first. Adopted journals are replayed in
+  /// death order, at adoption and at repair alike, so last-writer-wins
+  /// resolves identically on every survivor.
   std::vector<int> death_order_;
   /// Dead delegates whose journal this server has already replayed — the
   /// chain scan in serveAdopt() is re-entrant across agreement rounds.

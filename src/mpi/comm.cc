@@ -30,6 +30,8 @@ SimTime sendLocked(World& world, sim::Proc& proc, int context, Rank src,
   TCIO_CHECK_MSG(world_dst >= 0 && world_dst < world.numRanks(),
                  "send to invalid rank");
   TCIO_CHECK(n >= 0);
+  TCIO_CHECK_MSG(world.diedAt(world_src) == World::kAlive,
+                 "send by a fail-stopped rank");
   const net::TransferTimes times =
       world.network().transfer(proc.now(), world_src, world_dst, n);
   detail::Mailbox& mb = world.mailbox(world_dst);

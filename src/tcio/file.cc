@@ -449,7 +449,7 @@ File::BlockMeta File::stagedMeta(Offset off, std::span<const std::byte> bytes) {
   if (integrity_on_) {
     m.crc = crc32(bytes);
     m.has_crc = 1;
-    chargeChecksum(m.len);
+    chargeChecksum(comm_->proc(), m.len);
   }
   return m;
 }
@@ -457,7 +457,7 @@ File::BlockMeta File::stagedMeta(Offset off, std::span<const std::byte> bytes) {
 void File::checkHop(const BlockMeta& m, const std::byte* payload) {
   if (!integrity_on_ || m.has_crc == 0) return;
   ++stats_.integrity.crc_checks;
-  chargeChecksum(m.len);
+  chargeChecksum(comm_->proc(), m.len);
   if (crc32({payload, static_cast<std::size_t>(m.len)}) != m.crc) {
     ++stats_.integrity.crc_mismatches;
   }
@@ -779,7 +779,7 @@ void File::nodeExchangeStagedWrites(mpi::CapturedError& err) {
             }
             m.crc = c;
             m.has_crc = 1;
-            chargeChecksum(run);
+            chargeChecksum(comm_->proc(), run);
           }
           appendBytes(out, &m, sizeof(m));
           for (std::size_t k = i; k < j; ++k) {
@@ -1022,19 +1022,22 @@ void File::close() {
 }
 
 void File::drainToFs(Bytes file_size) {
-  check::Checker* ck = comm_->world().checker();
   const std::byte* local = window_->localData();
   for (const auto& [g, slot] : ownedSlots()) {
     if (local[flagsDisp(slot, kDirtyFlag)] == std::byte{0}) continue;
-    const Offset base = map_.baseOf(g);
-    if (base >= file_size) continue;
+    if (map_.baseOf(g) >= file_size) continue;
     crashPoint(CrashPoint::kMidClose);
-    const Bytes len = std::min(cfg_.segment_size, file_size - base);
-    pwriteDegraded(base, local + dataDisp(slot, 0), len);
-    if (ck != nullptr) {
-      comm_->proc().atomic(
-          [&] { ck->onDrain(name_, g, orig_rank_, "File::drainToFs"); });
-    }
+    drainSlot(g, slot, file_size);
+  }
+}
+
+void File::drainSlot(SegmentId g, std::int64_t slot, Bytes file_size) {
+  const Offset base = map_.baseOf(g);
+  const Bytes len = std::min(cfg_.segment_size, file_size - base);
+  pwriteDegraded(base, window_->localData() + dataDisp(slot, 0), len);
+  if (check::Checker* ck = comm_->world().checker()) {
+    comm_->proc().atomic(
+        [&] { ck->onDrain(name_, g, orig_rank_, "File::drainSlot"); });
   }
 }
 
@@ -1343,8 +1346,7 @@ void File::replayOrphans(
     // never silently re-applied.
     stats_.degraded.unjournaled_segments_lost += logs.back().corrupt_records;
   }
-  std::byte* local = drained_ ? nullptr : window_->localData();
-  std::vector<std::byte> scratch;
+  std::byte* local = window_->localData();
   for (const auto& [g, slot] : mine) {
     // Cascade point: an adopter can die while replaying the very segments
     // it just adopted. Recovery stays purely rank-local here (the shrink /
@@ -1354,18 +1356,13 @@ void File::replayOrphans(
     // ORIGINAL ranks' journals, so a half-replayed window dies harmlessly
     // with its adopter and the re-replay is idempotent.
     crashPoint(CrashPoint::kMidRecovery);
-    if (drained_) {
-      scratch.assign(static_cast<std::size_t>(cfg_.segment_size),
-                     std::byte{0});
-    }
     bool any = false;
     for (const Journal::Parsed& log : logs) {
       for (const Journal::Record& rec : log.records) {
         if (rec.seg != g) continue;
-        std::byte* dst = drained_ ? scratch.data() + rec.disp
-                                  : local + dataDisp(slot, rec.disp);
-        std::memcpy(dst, rec.payload.data(), rec.payload.size());
-        if (integrity_on_ && !drained_) {
+        std::memcpy(local + dataDisp(slot, rec.disp), rec.payload.data(),
+                    rec.payload.size());
+        if (integrity_on_) {
           // The adopted segment joins this rank's checksum domain: the dead
           // owner's ledger died with it, so rebuild digests from the clean
           // journal payloads just replayed.
@@ -1391,31 +1388,16 @@ void File::replayOrphans(
       }
       continue;
     }
-    if (drained_) {
-      // The drain already ran: write the reconstructed segment straight to
-      // the file (whole clamped segment — identical to what the healthy
-      // drain of a dirty slot would have written).
-      const Offset base = map_.baseOf(g);
-      if (base >= static_cast<Offset>(final_fsize_)) continue;
-      const Bytes len = std::min(cfg_.segment_size, final_fsize_ - base);
-      pwriteDegraded(base, scratch.data(), len);
-      if (ck != nullptr) {
-        comm_->proc().atomic(
-            [&] { ck->onDrain(name_, g, orig_rank_, "File::replayOrphans"); });
-      }
-    } else {
-      local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
-      noteTransfers({g}, "File::replayOrphans", /*dirty=*/true, orig_rank_);
+    local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
+    noteTransfers({g}, "File::replayOrphans", /*dirty=*/true, orig_rank_);
+    // The drain already ran: write the slot out as the drain would have.
+    if (drained_ && map_.baseOf(g) < final_fsize_) {
+      drainSlot(g, slot, final_fsize_);
     }
   }
 }
 
 // -- End-to-end data integrity (DESIGN.md §11) --------------------------------
-
-void File::chargeChecksum(Bytes n) {
-  if (n <= 0) return;
-  comm_->proc().advance(static_cast<double>(n) / kChecksumBandwidth);
-}
 
 void File::digestLevel1(SegmentId seg, const std::vector<Extent>& extents) {
   // One DigestRec per *run*, not per extent: a contiguous neighbour extends
@@ -1437,7 +1419,7 @@ void File::digestLevel1(SegmentId seg, const std::vector<Extent>& extents) {
     open = true;
   }
   if (open) pending_digests_.push_back(rec);
-  chargeChecksum(total);
+  chargeChecksum(comm_->proc(), total);
 }
 
 void File::exchangeDigests() {
@@ -1469,45 +1451,24 @@ void File::verifySlot(SegmentId g, std::int64_t slot) {
       local[flagsDisp(slot, kLoadedFlag)] == std::byte{0}) {
     return;  // not resident — nothing the ledger describes is in the window
   }
-  const SegmentLedger::Tally t = it->second.verify(local + dataDisp(slot, 0));
-  stats_.integrity.crc_checks += t.runs;
-  stats_.integrity.crc_mismatches += t.mismatches;
-  chargeChecksum(t.bytes);
-  if (t.mismatches != 0) repairSegment(g, slot);
-}
-
-void File::repairSegment(SegmentId g, std::int64_t slot) {
-  if (journal_ == nullptr) {
-    ++stats_.integrity.unrepairable;
-    throw IntegrityError("segment " + std::to_string(g) + " of " + name_ +
-                         " failed its window CRC and no journal exists to "
-                         "repair it");
-  }
   // Any rank may have contributed extents to this segment, so the repair
-  // replays every rank's journal records for it, in rank order — costed
-  // reads, same discipline as crash recovery.
-  std::byte* local = window_->localData();
-  for (Rank r = 0; r < static_cast<Rank>(orig_size_); ++r) {
-    const Journal::Parsed log =
-        Journal::readAndParse(client_, journalPath(name_, r));
-    for (const Journal::Record& rec : log.records) {
-      if (rec.seg != g) continue;
-      std::memcpy(local + dataDisp(slot, rec.disp), rec.payload.data(),
-                  rec.payload.size());
+  // sources are every rank's journal, in rank order.
+  const auto sources = [&] {
+    std::vector<Rank> ranks;
+    if (journal_ != nullptr) {
+      ranks.resize(static_cast<std::size_t>(orig_size_));
+      std::iota(ranks.begin(), ranks.end(), 0);
     }
+    return ranks;
+  };
+  if (verifyOrRepair(it->second, local + dataDisp(slot, 0), g, name_,
+                     sources, client_, comm_->proc(),
+                     {stats_.integrity.crc_checks,
+                      stats_.integrity.crc_mismatches,
+                      stats_.integrity.repaired,
+                      stats_.integrity.unrepairable})) {
+    local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
   }
-  // The replay must reproduce every ledgered digest exactly; otherwise the
-  // corruption predates the clean copies and nothing can prove the bytes.
-  const SegmentLedger::Tally again =
-      ledger_.at(g).verify(local + dataDisp(slot, 0));
-  chargeChecksum(again.bytes);
-  if (again.mismatches != 0) {
-    ++stats_.integrity.unrepairable;
-    throw IntegrityError("segment " + std::to_string(g) + " of " + name_ +
-                         " still fails its CRC after journal replay");
-  }
-  ++stats_.integrity.repaired;
-  local[flagsDisp(slot, kDirtyFlag)] = kFlagSet;
 }
 
 void File::scrubTick() {

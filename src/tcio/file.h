@@ -347,6 +347,10 @@ class File {
 
   /// Writes this rank's dirty slots to the file system.
   void drainToFs(Bytes file_size);
+  /// Writes owned slot `slot` (segment `g`) whole, clamped to `file_size`,
+  /// and reports the drain to the checker: the one per-slot write of both
+  /// the close-time drain and a post-drain adoption.
+  void drainSlot(SegmentId g, std::int64_t slot, Bytes file_size);
 
   // -- Fault recovery (see DESIGN.md "Failure model and recovery") -----------
 
@@ -388,9 +392,9 @@ class File {
   /// (Re)builds the node-aggregation layer over the current communicator.
   void buildNodeAggregation();
 
-  /// Replays every original rank's journal for the adopted segments:
-  /// into spare window slots before the drain, directly into the file (whole
-  /// reconstructed segments, matching healthy drain semantics) after it.
+  /// Replays every original rank's journal for the adopted segments into
+  /// their spare window slots; after the drain each replayed slot is written
+  /// out at once with the drain's own per-slot write (drainSlot).
   void replayOrphans(
       const std::vector<std::pair<SegmentId, std::int64_t>>& mine);
 
@@ -453,18 +457,14 @@ class File {
   /// transfer mode.
   void exchangeDigests();
   /// Verifies every ledgered extent of owned slot `slot` (segment `g`)
-  /// against the window bytes; repairs from the WAL on mismatch; throws
-  /// IntegrityError when repair fails.
+  /// against the window bytes; on a mismatch repairs from every original
+  /// rank's journal, in rank order (verifyOrRepair); throws IntegrityError
+  /// when repair fails.
   void verifySlot(SegmentId g, std::int64_t slot);
-  /// WAL repair: re-applies every journaled record of segment `g` into the
-  /// window, then re-verifies the ledger. Throws IntegrityError on failure.
-  void repairSegment(SegmentId g, std::int64_t slot);
   /// Background scrubber (collective): verifies up to kScrubPerCollective
   /// owned segments per call, round-robin, then agrees on the outcome.
   /// No-op with integrity off.
   void scrubTick();
-  /// Charges the virtual-time cost of a digest/verify pass over n bytes.
-  void chargeChecksum(Bytes n);
   /// Seeded kWindow corruption: flips one bit inside a ledgered extent of an
   /// owned slot (consumes the arm only when a candidate exists).
   void maybeCorruptWindow();

@@ -9,17 +9,14 @@ namespace tcio::core {
 
 namespace {
 
-/// CRC over the frame body: seg, disp, len, gen, payload (magic and the CRC
-/// field itself excluded; the reserved word is excluded too so it stays
-/// free for future use without a format bump).
+/// CRC over the frame body: seg, disp, len, payload (magic and the CRC
+/// field itself excluded).
 std::uint32_t frameCrc(std::int64_t seg, std::int64_t disp, std::int64_t len,
-                       std::uint32_t gen,
                        std::span<const std::byte> payload) {
-  std::byte fields[28];
+  std::byte fields[24];
   std::memcpy(fields + 0, &seg, 8);
   std::memcpy(fields + 8, &disp, 8);
   std::memcpy(fields + 16, &len, 8);
-  std::memcpy(fields + 24, &gen, 4);
   return crc32(payload, crc32({fields, sizeof(fields)}));
 }
 
@@ -52,21 +49,18 @@ void Journal::close() {
 
 void Journal::append(std::int64_t seg, Offset disp,
                      std::span<const std::byte> payload,
-                     std::int64_t torn_prefix, std::uint32_t gen) {
+                     std::int64_t torn_prefix) {
   TCIO_CHECK_MSG(file_.valid(), "append on a closed journal");
   const auto len = static_cast<std::int64_t>(payload.size());
   std::vector<std::byte> frame(
       static_cast<std::size_t>(kHeaderBytes) + payload.size());
   const std::uint32_t magic = kMagic;
-  const std::uint32_t crc = frameCrc(seg, disp, len, gen, payload);
-  const std::uint32_t reserved = 0;
+  const std::uint32_t crc = frameCrc(seg, disp, len, payload);
   std::memcpy(frame.data() + 0, &magic, 4);
   std::memcpy(frame.data() + 4, &crc, 4);
   std::memcpy(frame.data() + 8, &seg, 8);
   std::memcpy(frame.data() + 16, &disp, 8);
   std::memcpy(frame.data() + 24, &len, 8);
-  std::memcpy(frame.data() + 32, &gen, 4);
-  std::memcpy(frame.data() + 36, &reserved, 4);
   if (!payload.empty()) {
     std::memcpy(frame.data() + kHeaderBytes, payload.data(), payload.size());
   }
@@ -128,13 +122,11 @@ Journal::Parsed Journal::parse(std::span<const std::byte> raw) {
     std::int64_t seg = 0;
     std::int64_t disp = 0;
     std::int64_t len = 0;
-    std::uint32_t gen = 0;
     std::memcpy(&magic, raw.data() + pos + 0, 4);
     std::memcpy(&crc, raw.data() + pos + 4, 4);
     std::memcpy(&seg, raw.data() + pos + 8, 8);
     std::memcpy(&disp, raw.data() + pos + 16, 8);
     std::memcpy(&len, raw.data() + pos + 24, 8);
-    std::memcpy(&gen, raw.data() + pos + 32, 4);
     if (magic != kMagic || len < 0 ||
         pos + static_cast<std::size_t>(kHeaderBytes) +
                 static_cast<std::size_t>(len) >
@@ -145,7 +137,7 @@ Journal::Parsed Journal::parse(std::span<const std::byte> raw) {
     const std::span<const std::byte> payload(
         raw.data() + pos + static_cast<std::size_t>(kHeaderBytes),
         static_cast<std::size_t>(len));
-    if (frameCrc(seg, disp, len, gen, payload) != crc) {
+    if (frameCrc(seg, disp, len, payload) != crc) {
       // Complete frame, valid magic, in-bounds length — the framing is
       // intact and only the body is corrupt (a flipped bit on the journal
       // device, not a torn append). Drop this record and keep scanning.
@@ -157,7 +149,6 @@ Journal::Parsed Journal::parse(std::span<const std::byte> raw) {
     Record rec;
     rec.seg = seg;
     rec.disp = disp;
-    rec.gen = gen;
     rec.payload.assign(payload.begin(), payload.end());
     out.bytes_replayable += len;
     out.records.push_back(std::move(rec));

@@ -10,15 +10,12 @@
 // a mid-append crash leaves behind — so every journaled byte survives.
 // A successful close commits (truncates) the journal.
 //
-// Frame layout v2 (little-endian, 40-byte header + payload):
-//   u32 magic 'TCJ2' | u32 crc32(seg, disp, len, gen, payload) |
-//   i64 seg | i64 disp | i64 len | u32 gen | u32 reserved | payload[len]
+// Frame layout (little-endian, 32-byte header + payload):
+//   u32 magic 'TCJ1' | u32 crc32(seg, disp, len, payload) |
+//   i64 seg | i64 disp | i64 len | payload[len]
 //
-// `gen` is the adoption generation: 0 for a record appended by the segment's
-// original owner, and n+1 when an adopter re-appends a generation-n record
-// into its OWN journal while taking over a dead peer's shard. Replay after a
-// cascaded crash (the adopter itself dies mid-replay) can therefore tell a
-// first-hand record from a re-appended copy and dedup idempotently.
+// Only a segment's writers append: recovery and repair replay first-hand
+// journals and never copy a record into another log.
 #pragma once
 
 #include <cstdint>
@@ -33,14 +30,13 @@ namespace tcio::core {
 
 class Journal {
  public:
-  static constexpr std::uint32_t kMagic = 0x324a4354;  // "TCJ2"
-  static constexpr Bytes kHeaderBytes = 40;
+  static constexpr std::uint32_t kMagic = 0x314a4354;  // "TCJ1"
+  static constexpr Bytes kHeaderBytes = 32;
 
   /// One replayable record.
   struct Record {
     std::int64_t seg = 0;  // global segment id
     Offset disp = 0;       // displacement within the segment
-    std::uint32_t gen = 0;  // adoption generation (0 = original append)
     std::vector<std::byte> payload;
   };
 
@@ -67,12 +63,10 @@ class Journal {
 
   /// Appends one framed record ahead of the level-2 transfer. When
   /// `torn_prefix` is >= 0, only that many leading bytes of the frame reach
-  /// the device — the torn-write model for a rank dying mid-append. `gen` is
-  /// the adoption generation (0 for first-hand appends; adopters re-append
-  /// with the source record's generation + 1).
+  /// the device — the torn-write model for a rank dying mid-append.
   void append(std::int64_t seg, Offset disp,
               std::span<const std::byte> payload,
-              std::int64_t torn_prefix = -1, std::uint32_t gen = 0);
+              std::int64_t torn_prefix = -1);
 
   /// Group commit. Between batchBegin() and batchEnd(), append() buffers
   /// frames in memory and batchEnd() pushes them to the journal device as

@@ -1,10 +1,18 @@
 #include "tcio/ledger.h"
 
+#include <cstring>
 #include <iterator>
 
 #include "common/crc32.h"
+#include "common/error.h"
+#include "sim/engine.h"
+#include "tcio/journal.h"
 
 namespace tcio::core {
+
+void chargeChecksum(sim::Proc& proc, Bytes n) {
+  proc.advance(static_cast<double>(n) / kChecksumBandwidth);
+}
 
 bool CrcRun::tryExtend(Offset at, std::span<const std::byte> bytes) {
   const auto n = static_cast<Offset>(bytes.size());
@@ -88,6 +96,45 @@ SegmentLedger::Tally SegmentLedger::verify(const std::byte* seg_base) const {
     if (run.crcOver(seg_base) != run.crc) ++t.mismatches;
   }
   return t;
+}
+
+bool verifyOrRepair(const SegmentLedger& ledger, std::byte* image,
+                    SegmentId g, const std::string& file,
+                    const std::function<std::vector<Rank>()>& sources,
+                    fs::FsClient& client, sim::Proc& proc,
+                    IntegrityCounters counts) {
+  const SegmentLedger::Tally t = ledger.verify(image);
+  counts.crc_checks += t.runs;
+  counts.crc_mismatches += t.mismatches;
+  chargeChecksum(proc, t.bytes);
+  if (t.mismatches == 0) return false;
+  const std::string what = "segment " + std::to_string(g) + " of " + file;
+  const std::vector<Rank> ranks = sources();
+  if (ranks.empty()) {
+    ++counts.unrepairable;
+    throw IntegrityError(what + " failed its CRC and no journal exists to "
+                                "repair it");
+  }
+  // Every ledgered digest was taken over bytes some source journaled first,
+  // so replaying the segment's records in source order reconstructs them.
+  for (const Rank r : ranks) {
+    const Journal::Parsed log =
+        Journal::readAndParse(client, journalPath(file, r));
+    for (const Journal::Record& rec : log.records) {
+      if (rec.seg != g) continue;
+      std::memcpy(image + rec.disp, rec.payload.data(), rec.payload.size());
+    }
+  }
+  // The replay must reproduce every ledgered digest exactly; otherwise the
+  // corruption predates the clean copies and nothing can prove the bytes.
+  const SegmentLedger::Tally again = ledger.verify(image);
+  chargeChecksum(proc, again.bytes);
+  if (again.mismatches != 0) {
+    ++counts.unrepairable;
+    throw IntegrityError(what + " still fails its CRC after journal replay");
+  }
+  ++counts.repaired;
+  return true;
 }
 
 }  // namespace tcio::core

@@ -7,18 +7,31 @@
 //
 // Both checksum owners keep their ledger here: core::File (one ledger per
 // owned level-2 segment) and delegate::Server (one per shard segment), so
-// the coalescing rule, the supersede rule and the verification pass exist
-// once.
+// the coalescing rule, the supersede rule, the verification pass and the
+// journal repair exist once.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "common/types.h"
 
+namespace tcio::fs {
+class FsClient;
+}
+namespace tcio::sim {
+class Proc;
+}
+
 namespace tcio::core {
+
+/// Charges `n` digested bytes to `proc`'s clock at kChecksumBandwidth.
+void chargeChecksum(sim::Proc& proc, Bytes n);
 
 /// One digest run. Piece k covers [disp + k*stride, disp + k*stride + len).
 struct CrcRun {
@@ -77,5 +90,27 @@ class SegmentLedger {
 
   std::map<Offset, CrcRun> runs_;
 };
+
+/// The integrity counters one segment check advances; both owners' stats
+/// carry them under these names.
+struct IntegrityCounters {
+  std::int64_t& crc_checks;
+  std::int64_t& crc_mismatches;
+  std::int64_t& repaired;
+  std::int64_t& unrepairable;
+};
+
+/// The owner-side check of one level-2 segment image: verifies `ledger`
+/// over `image`, counting and charging the pass. On a mismatch it replays
+/// segment `g`'s records from the journals of `file` written by the ranks
+/// `sources()` lists, in that order (costed reads through `client`; later
+/// records win), and verifies again. Returns true when the replay repaired
+/// the image. Throws IntegrityError, counted unrepairable, when there is no
+/// source or the replayed bytes still mismatch.
+bool verifyOrRepair(const SegmentLedger& ledger, std::byte* image,
+                    SegmentId g, const std::string& file,
+                    const std::function<std::vector<Rank>()>& sources,
+                    fs::FsClient& client, sim::Proc& proc,
+                    IntegrityCounters counts);
 
 }  // namespace tcio::core

@@ -68,24 +68,22 @@ std::vector<std::byte> peekBytes(const fs::Filesystem& fsys,
   return v;
 }
 
-/// Runs body on client ranks, serve() on delegates; returns merged stats
-/// into *stats on every rank (client-merged, then read back on rank 0 via
-/// the session bcast pattern used by the churn workload).
+/// Runs body on client ranks, serve() on delegates; the clients store
+/// Session::finish()'s merged stats into *stats.
 void runSession(mpi::Comm& comm, fs::Filesystem& fsys,
                 const core::TcioConfig& cfg,
                 const std::function<void(Session&, Channel&)>& body,
                 core::TcioDelegateStats* stats = nullptr) {
   Session session(comm, fsys, cfg);
-  core::TcioDelegateStats merged;
+  // A delegate returns as soon as it stops serving: one that fail-stopped
+  // must never communicate again.
   if (session.isDelegate()) {
     session.serve();
-  } else {
-    Channel ch(session);
-    body(session, ch);
-    merged = session.finish();
+    return;
   }
-  comm.barrier();
-  comm.bcast(&merged, sizeof(merged), /*root=*/session.numDelegates());
+  Channel ch(session);
+  body(session, ch);
+  const core::TcioDelegateStats& merged = session.finish();
   if (stats != nullptr) *stats = merged;
 }
 
@@ -539,9 +537,8 @@ TEST(DelegateCrashTest, AdopterCrashBeforeDrainPreservesTheChain) {
   // Delegate 0 dies mid-put; delegate 1 adopts its shard (journal replay),
   // then itself dies at the start of the close-time drain. Delegate 2 then
   // adopts delegate 1 — and, via the chain scan over the agreed death order,
-  // re-adopts delegate 0 from 0's ORIGINAL journal: the dead adopter's WAL
-  // (which does carry gen-bumped copies of 0's records) is never the sole
-  // carrier of the chain.
+  // re-adopts delegate 0 from 0's ORIGINAL journal: an adopter's WAL never
+  // carries the records it adopted.
   fs::Filesystem fsys(fsCfg());
   core::TcioDelegateStats stats;
   constexpr int kProcs = 6;
@@ -584,11 +581,10 @@ TEST(DelegateCrashTest, AdopterCrashBeforeDrainPreservesTheChain) {
 TEST(DelegateCrashTest, AdopterDiesMidReplayChainFallsToOriginalJournals) {
   // The cascade the chain test above cannot reach: delegate 0 dies mid-put,
   // delegate 1 adopts it and then dies INSIDE the adoption itself — while
-  // re-appending 0's replayed records into its own WAL
-  // (CrashPoint::kMidRecovery), leaving a torn gen-1 copy behind. Delegate 2
-  // must then adopt 1 AND re-adopt 0 from 0's ORIGINAL journal (the chain
-  // scan over death order), because 1's WAL alone carries only the torn
-  // fragment of 0's data. The torn frame is discarded by CRC; the duplicate
+  // replaying 0's journal into its shard buffers (CrashPoint::kMidRecovery).
+  // Delegate 2 must then adopt 1 AND re-adopt 0 from 0's ORIGINAL journal
+  // (the chain scan over death order): the half-replayed buffers died with
+  // delegate 1, and its own WAL never carries 0's records. The duplicate
   // replays are byte-identical and therefore idempotent.
   fs::Filesystem fsys(fsCfg());
   core::TcioDelegateStats stats;

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -261,6 +262,30 @@ TEST(P2pTest, RecvOrDeadClocksAreDeterministic) {
   const auto a = once();
   EXPECT_EQ(a, once());
   ASSERT_EQ(a.size(), 8u);
+}
+
+TEST(P2pTest, SendAfterFailStopIsRejected) {
+  // A fail-stopped rank never communicates again: blocking and nonblocking
+  // sends (and every collective, which is built on them) refuse it, and
+  // nothing reaches the peer.
+  runJob(cfg(2), [](Comm& comm) {
+    int v = 7;
+    if (comm.rank() == 1) {
+      comm.proc().advance(1.0);
+      EXPECT_FALSE(comm.recvOrDead(&v, 4, 0, 0));
+      return;
+    }
+    comm.failStop();
+    try {
+      comm.send(&v, 4, 1, 0);
+      ADD_FAILURE() << "a fail-stopped rank sent a message";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("send by a fail-stopped rank"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(comm.isend(&v, 4, 1, 0), Error);
+  });
 }
 
 TEST(P2pTest, TryRecvTakesOnlyQueuedMessages) {

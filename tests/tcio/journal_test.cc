@@ -154,6 +154,56 @@ TEST(JournalTest, CorruptThenTornCountsBothAndKeepsIntactPrefix) {
   EXPECT_EQ(parsed.torn_records, 1);
 }
 
+TEST(JournalTest, HeaderFieldFlipIsCorruptNotTorn) {
+  // The frame CRC covers seg and disp too: a flipped bit there leaves the
+  // framing (magic, len) intact, so the record is dropped as corrupt — a
+  // replay must never apply a payload at the wrong segment or displacement —
+  // and the scan goes on to the next frame.
+  const auto p0 = payload(24, 10);
+  std::vector<std::byte> raw;
+  {
+    fs::Filesystem fsys(fsCfg());
+    mpi::JobConfig jc;
+    jc.num_ranks = 1;
+    mpi::runJob(jc, [&](mpi::Comm& comm) {
+      fs::FsClient fc(fsys, comm.proc());
+      Journal j(fc, "z.wal.0");
+      j.append(3, 40, p0);
+      j.append(4, 80, p0);
+      fs::FsFile f = fc.open("z.wal.0", fs::kRead);
+      raw.resize(static_cast<std::size_t>(fc.size(f)));
+      fc.pread(f, 0, raw.data(), static_cast<Bytes>(raw.size()));
+      fc.close(f);
+    });
+  }
+  constexpr std::size_t kSegField = 8;
+  constexpr std::size_t kDispField = 16;
+  for (const std::size_t field : {kSegField, kDispField}) {
+    std::vector<std::byte> flipped = raw;
+    flipped[field] ^= std::byte{0x02};
+    const Journal::Parsed parsed = Journal::parse(flipped);
+    ASSERT_EQ(parsed.records.size(), 1u) << "field at " << field;
+    EXPECT_EQ(parsed.records[0].seg, 4);
+    EXPECT_EQ(parsed.records[0].disp, 80);
+    EXPECT_EQ(parsed.corrupt_records, 1) << "field at " << field;
+    EXPECT_EQ(parsed.torn_records, 0) << "field at " << field;
+  }
+}
+
+TEST(JournalTest, OneRecordCostsExactlyHeaderPlusPayload) {
+  withClient([](fs::FsClient& fc) {
+    const std::string path = journalPath("size.dat", 0);
+    Journal j(fc, path);
+    EXPECT_EQ(Journal::kHeaderBytes, 32);  // the 'TCJ1' frame header
+    constexpr Bytes kN = 57;
+    j.append(2, 8, payload(static_cast<std::size_t>(kN), 11));
+    EXPECT_EQ(j.bytesAppended(), Journal::kHeaderBytes + kN);
+    fs::FsFile f = fc.open(path, fs::kRead);
+    EXPECT_EQ(fc.size(f), Journal::kHeaderBytes + kN);
+    fc.close(f);
+  });
+}
+
 TEST(JournalTest, CommitTruncatesAndLogStaysUsable) {
   withClient([](fs::FsClient& fc) {
     const std::string path = journalPath("data.dat", 1);

@@ -463,16 +463,15 @@ void runSession(mpi::Comm& comm, fs::Filesystem& fsys,
                 const std::function<void(Session&, Channel&)>& body,
                 core::TcioDelegateStats* stats = nullptr) {
   Session session(comm, fsys, cfg);
-  core::TcioDelegateStats merged;
+  // A delegate returns as soon as it stops serving: one that fail-stopped
+  // must never communicate again.
   if (session.isDelegate()) {
     session.serve();
-  } else {
-    Channel ch(session);
-    body(session, ch);
-    merged = session.finish();
+    return;
   }
-  comm.barrier();
-  comm.bcast(&merged, sizeof(merged), /*root=*/session.numDelegates());
+  Channel ch(session);
+  body(session, ch);
+  const core::TcioDelegateStats& merged = session.finish();
   if (stats != nullptr) *stats = merged;
 }
 
@@ -545,6 +544,67 @@ TEST(DelegateIntegrityTest, ShardFlipRepairedFromWal) {
     std::vector<std::byte> got(static_cast<std::size_t>(kSegment));
     fsys.peek("dshard.dat", base, got);
     EXPECT_EQ(got, clientBlock(c, base, kSegment)) << "client " << c;
+  }
+}
+
+TEST(DelegateIntegrityTest, AdoptedSegmentFlipRepairedFromFirstHandJournals) {
+  // Every segment written is even, so naturally delegate 0's. Each client
+  // writes two blocks, then overwrites its first block with new bytes.
+  // Delegate 0 journals all eight first writes and dies on the first
+  // overwrite; delegate 1 adopts its shard by replaying delegate 0's
+  // journal, and every put it then applies — all post-adoption puts to
+  // adopted segments — takes a bit flip in its shard buffer. The drain-time
+  // repair must replay the first-hand journals in the order their records
+  // were applied: delegate 0's (the first writes), then delegate 1's own
+  // (the overwrites). The reverse order would restore the stale bytes.
+  fs::FsConfig fcfg;
+  fcfg.num_osts = 4;
+  fcfg.stripe_size = 1024;
+  fs::Filesystem fsys(fcfg);
+  core::TcioDelegateStats stats;
+  constexpr int kClients = 4;
+  constexpr int kBlocks = 2;
+  const auto offOf = [](int c, int b) {
+    return static_cast<Offset>(2 * (c * kBlocks + b)) * kSegment;
+  };
+  // The overwrite carries another client's pattern, so stale bytes differ.
+  const auto overwrite = [&](int c) {
+    return clientBlock(c + kClients, offOf(c, 0), kSegment);
+  };
+  mpi::runJob(delegateJob(), [&](mpi::Comm& comm) {
+    core::TcioConfig cfg = delegatedIntegrity(/*d=*/2);
+    cfg.crash.enabled = true;
+    cfg.crash.journal = true;
+    cfg.faults.crashes.push_back(
+        {/*rank=*/0, CrashPoint::kAtCollective, /*after=*/kClients * kBlocks});
+    for (int k = 0; k < kClients; ++k) {
+      cfg.faults.corruptions.push_back(
+          {/*rank=*/1, CorruptSite::kWindow, /*after=*/k});
+    }
+    runSession(comm, fsys, cfg, [&](Session& s, Channel& ch) {
+      const int c = s.clientComm().rank();
+      DFile f(ch, "dadopt.dat", fs::kWrite | fs::kCreate);
+      for (int b = 0; b < kBlocks; ++b) {
+        f.writeAt(offOf(c, b), clientBlock(c, offOf(c, b), kSegment));
+      }
+      s.clientComm().barrier();  // every first write is acknowledged
+      f.writeAt(offOf(c, 0), overwrite(c));
+      f.close();
+    }, &stats);
+  });
+  EXPECT_EQ(stats.delegates_crashed, 1);
+  EXPECT_EQ(stats.shards_adopted, 1);
+  EXPECT_EQ(stats.journal_records_replayed, kClients * kBlocks);
+  EXPECT_EQ(stats.crc_mismatches, kClients);
+  EXPECT_EQ(stats.repaired, kClients);
+  EXPECT_EQ(stats.unrepairable, 0);
+  for (int c = 0; c < kClients; ++c) {
+    std::vector<std::byte> got(static_cast<std::size_t>(kSegment));
+    fsys.peek("dadopt.dat", offOf(c, 0), got);
+    EXPECT_EQ(got, overwrite(c)) << "client " << c << " block 0";
+    fsys.peek("dadopt.dat", offOf(c, 1), got);
+    EXPECT_EQ(got, clientBlock(c, offOf(c, 1), kSegment))
+        << "client " << c << " block 1";
   }
 }
 
