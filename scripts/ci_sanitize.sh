@@ -1,7 +1,7 @@
 #!/bin/bash
 # Sanitizer CI tier: the full suite under AddressSanitizer + UBSan, the
-# fault/crash matrices under the same, then the concurrency-heavy suites
-# under ThreadSanitizer. Each family uses its own build tree so the regular
+# fault/crash matrices under the same, then the full suite under
+# ThreadSanitizer. Each family uses its own build tree so the regular
 # build/ stays fast and the trees never mix instrumentation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,22 +24,18 @@ TCIO_FAULT_SEED=7 \
   -R 'TcioFault|FaultPlan|TcioCrash|CrashPlan|Journal|Liveness'
 
 # -- ThreadSanitizer ----------------------------------------------------------
-# The engine runs one OS thread per rank with a strict one-active-rank
-# handoff (event waits gated in (virtual time, rank) order), and the
-# delegate server core multiplexes 10k+ client queues over it; TSan on the
-# engine, liveness, delegate and chaos suites checks that discipline where
-# it is busiest. Currently clean with no suppressions — if the engine
-# handoff ever needs one, drop it in scripts/tsan.supp and it is picked up
-# here.
+# The engine runs every rank as a fiber on one OS thread and tells TSan about
+# each switch (__tsan_switch_to_fiber), so TSan checks the one-active-rank
+# handoff as synchronization between fibers. The whole suite runs: it takes
+# seconds. Currently clean with no suppressions — if the engine ever needs
+# one, drop it in scripts/tsan.supp and it is picked up here.
 TSAN_BUILD=build-tsan
 cmake -B "$TSAN_BUILD" -S . -DTCIO_SANITIZE=thread >/dev/null
-cmake --build "$TSAN_BUILD" -j "$(nproc)" \
-  --target test_sim test_mpi test_delegate test_chaos
+cmake --build "$TSAN_BUILD" -j "$(nproc)"
 TSAN_OPTIONS="halt_on_error=1"
 if [ -f scripts/tsan.supp ]; then
   TSAN_OPTIONS="$TSAN_OPTIONS suppressions=$(pwd)/scripts/tsan.supp"
 fi
-echo "== engine + liveness + delegate + chaos suites under TSan =="
+echo "== full suite under TSan =="
 TSAN_OPTIONS="$TSAN_OPTIONS" \
-  ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$(nproc)" \
-  -R 'Engine|Liveness|Delegate|Chaos'
+  ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$(nproc)"

@@ -173,10 +173,9 @@ void ruleBannedApi(const LexedFile& lf, const std::string& path,
            "raw MPI call '" + s + "' outside src/mpi — use tcio::mpi");
       continue;
     }
-    // Raw threading/sleep primitives: src/sim owns the one real-thread
-    // handoff; anywhere else they bypass virtual time and the engine's
+    // Ranks are fibers on one OS thread, switched only by src/sim: a real
+    // thread, lock or sleep anywhere bypasses virtual time and the engine's
     // one-active-rank discipline.
-    if (in_sim) continue;
     const bool std_qualified =
         i >= 2 && is(t[i - 1], "::") && isIdent(t[i - 2], "std");
     if (std_qualified &&
@@ -184,16 +183,32 @@ void ruleBannedApi(const LexedFile& lf, const std::string& path,
          s == "timed_mutex" || s == "condition_variable" || s == "thread" ||
          s == "jthread")) {
       flag(t[i].line, "raw std::" + s +
-                          " outside src/sim — rank scheduling and blocking "
-                          "belong to the engine");
+                          " — rank scheduling and blocking belong to the "
+                          "engine");
       continue;
     }
     if (s == "sleep_for" || s == "sleep_until" || s == "usleep" ||
         s == "nanosleep" ||
         (s == "sleep" && i + 1 < t.size() && is(t[i + 1], "("))) {
       flag(t[i].line, "real sleep '" + s +
-                          "' outside src/sim — advance simulated time "
-                          "instead (sim::Engine::advance)");
+                          "' — advance simulated time instead "
+                          "(sim::Engine::advance)");
+      continue;
+    }
+    // The engine's own fiber machinery: a thread_local is shared by every
+    // rank, and a context switch elsewhere would escape the gate.
+    if (in_sim) continue;
+    if (s == "thread_local") {
+      flag(t[i].line,
+           "thread_local outside src/sim is shared by every rank — keep "
+           "per-rank state in sim::Proc::local()");
+      continue;
+    }
+    if (s == "getcontext" || s == "makecontext" || s == "swapcontext" ||
+        s == "setcontext") {
+      flag(t[i].line, "context switch '" + s +
+                          "' outside src/sim — only the engine switches "
+                          "between ranks");
     }
   }
 }

@@ -1,16 +1,20 @@
-// Deterministic discrete-event engine with one OS thread per simulated rank.
+// Deterministic discrete-event engine: every simulated rank runs as a fiber
+// on the one OS thread that calls Engine::run.
 //
 // Execution model
 // ---------------
-// Every simulated MPI rank runs as its own thread, but the engine admits
-// exactly one thread at a time ("the active rank"). All interaction with
-// shared simulation state (mailboxes, RMA windows, file-system queues, ...)
-// must happen inside `Proc::atomic(fn)`. `atomic` first *gates*: the calling
-// rank is suspended until it holds the minimum (virtual time, rank) key among
-// all runnable ranks. Because shared state is only ever touched inside a
-// gated section, every observable event executes in global virtual-time
-// order — a conservative discrete-event simulation that is bit-deterministic
-// regardless of OS scheduling.
+// Every simulated MPI rank runs its body as a user-level context (a fiber
+// with its own stack), and the engine runs exactly one of them at a time
+// ("the active rank"). All interaction with shared simulation state
+// (mailboxes, RMA windows, file-system queues, ...) must happen inside
+// `Proc::atomic(fn)`. `atomic` first *gates*: the calling rank is suspended
+// until it holds the minimum (virtual time, rank) key among all runnable
+// ranks. Because shared state is only ever touched inside a gated section,
+// every observable event executes in global virtual-time order — a
+// conservative discrete-event simulation that is bit-deterministic. A rank
+// gives up the thread only inside `atomic` or `wait`, and the engine then
+// switches straight to the next rank in key order; no OS scheduler is
+// involved.
 //
 // Between engine calls a rank may freely run real computation and advance its
 // own clock with `advance()`; that is safe because local work cannot touch
@@ -23,17 +27,17 @@
 //
 // If every live rank ends up blocked, the engine raises `DeadlockError`
 // naming each rank's wait reason — simulated programs cannot hang silently.
+//
+// Fibers share the OS thread, so `thread_local` state is shared by every
+// rank; state keyed by the running rank belongs in `Proc::local()`.
 #pragma once
 
-#include <condition_variable>
+#include <any>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -47,8 +51,8 @@ class Proc;
 
 /// One-shot completion token connecting a blocked rank to the rank that will
 /// unblock it. Owned by module data structures (message envelopes, lock
-/// requests, ...). All fields are engine-lock protected; user code only
-/// passes Events to Proc::wait / Proc::complete.
+/// requests, ...). Its fields change only inside gated sections; user code
+/// only passes Events to Proc::wait / Proc::complete.
 class Event {
  public:
   bool ready() const { return ready_; }
@@ -63,7 +67,7 @@ class Event {
 };
 
 /// Per-rank facade handed to the rank body. All members must be called from
-/// the owning rank's thread only.
+/// the owning rank's body only.
 class Proc {
  public:
   Rank rank() const { return rank_; }
@@ -84,7 +88,7 @@ class Proc {
   }
 
   /// Execute `fn` atomically at this rank's current virtual time, in global
-  /// virtual-time order. `fn` runs with the engine lock held; it must not
+  /// virtual-time order. No other rank runs until `fn` returns; `fn` must not
   /// call atomic/wait itself. Returns fn's result.
   template <typename F>
   auto atomic(F&& fn) -> decltype(fn()) {
@@ -106,33 +110,43 @@ class Proc {
 
   Engine& engine() { return *engine_; }
 
+  /// Storage for a layer above the engine that keeps state per rank (the C
+  /// API's tcio_set_context). Empty at start; destroyed with the Engine.
+  std::any& local() { return local_; }
+
  private:
   friend class Engine;
   Proc(Engine& engine, Rank rank, std::uint64_t seed)
       : engine_(&engine), rank_(rank), rng_(seed) {}
 
-  /// RAII helper: gates on construction (acquiring the engine lock and
-  /// waiting for virtual-time order), releases the lock on destruction.
+  /// RAII helper: gates on construction (waiting for virtual-time order) and
+  /// marks the rank inside a section until destruction, so a nested
+  /// atomic/wait is reported instead of suspending the rank mid-section.
   class AtomicSection {
    public:
     explicit AtomicSection(Proc& p);
-    ~AtomicSection() = default;  // lk_ releases the engine lock
+    ~AtomicSection() { p_.in_atomic_ = false; }
     AtomicSection(const AtomicSection&) = delete;
     AtomicSection& operator=(const AtomicSection&) = delete;
 
    private:
-    std::unique_lock<std::mutex> lk_;
+    Proc& p_;
   };
 
   Engine* engine_;
   Rank rank_;
   SimTime now_ = 0;
+  bool in_atomic_ = false;
   Rng rng_;
+  std::any local_;
 };
 
 /// The engine itself. Construct with the rank count, then `run(body)`;
-/// `body(proc)` is executed once per rank on its own thread. `run` returns
-/// when every rank finished and rethrows the first failure, if any.
+/// `body(proc)` is executed once per rank, each on its own fiber stack of
+/// kStackBytes (mapped with a guard page when `run` starts and unmapped when
+/// it returns). `run` returns when every rank finished and rethrows the first
+/// failure, if any; after a failure every started rank is unwound with
+/// `Aborted` and no unstarted rank enters `body`.
 class Engine {
  public:
   struct Config {
@@ -147,8 +161,15 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
+  /// Stack size of one rank's fiber, the size of a default pthread stack.
+  static constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+
   /// Runs `body` on every rank. May be called once per Engine.
   void run(const std::function<void(Proc&)>& body);
+
+  /// The rank whose body is running on the calling OS thread, or nullptr
+  /// outside every rank body.
+  static Proc* current();
 
   int numRanks() const { return cfg_.num_ranks; }
 
@@ -167,27 +188,34 @@ class Engine {
   struct RankRecord {
     State state = State::kGated;
     const char* wait_what = nullptr;
-    std::condition_variable cv;
   };
+
+  /// A saved execution context: one per rank, plus one for run()'s caller.
+  /// Defined in engine.cc, which owns every context switch.
+  struct Fiber;
 
   using GateKey = std::pair<SimTime, Rank>;
 
-  // All of the below require lock_ held.
-  void gateLocked(std::unique_lock<std::mutex>& lk, Proc& p);
-  void finishRank(Rank r, bool was_active);
-  void releaseActiveLocked(Rank r);
-  void dispatchLocked();
-  void failLocked(std::exception_ptr ep);
-  void checkAbortLocked() const;
+  void gate(Proc& p);
+  void releaseActive(Rank r);
+  void dispatch();
+  void switchTo(Rank to);
+  [[noreturn]] void rankMain(Rank r);
+  static void fiberEntry();
+  void fail(std::exception_ptr ep);
+  void checkAbort() const;
 
   Config cfg_;
-  mutable std::mutex lock_;
   std::vector<RankRecord> records_;
   std::vector<std::unique_ptr<Proc>> procs_;
+  /// Index r holds rank r's fiber, index num_ranks run()'s; live during run.
+  std::unique_ptr<Fiber[]> fibers_;
+  const std::function<void(Proc&)>* body_ = nullptr;
+  /// The rank whose fiber is executing, or -1 while run() itself is.
+  Rank running_ = -1;
   std::set<GateKey> gated_;
   Rank active_ = -1;
   int done_count_ = 0;
-  int blocked_count_ = 0;
   bool abort_ = false;
   std::exception_ptr failure_;
   std::vector<SimTime> final_times_;
@@ -195,7 +223,7 @@ class Engine {
   bool ran_ = false;
 };
 
-/// Thrown into rank threads to unwind them after another rank failed. User
+/// Thrown into rank bodies to unwind them after another rank failed. User
 /// code should not catch it (catch-all handlers in rank bodies must rethrow).
 struct Aborted {};
 

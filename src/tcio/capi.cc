@@ -1,37 +1,41 @@
 #include "tcio/capi.h"
 
+#include <any>
+
 #include "common/error.h"
+#include "sim/engine.h"
 #include "tcio/file.h"
 
 namespace {
 
-struct ThreadContext {
+struct RankContext {
   tcio::mpi::Comm* comm = nullptr;
   tcio::fs::Filesystem* fsys = nullptr;
   tcio::core::TcioConfig cfg;
 };
 
-// One context per rank thread — the simulation hosts every rank in one
-// process, so process-global state would alias ranks.
-thread_local ThreadContext g_ctx;
-
-ThreadContext& ctx() {
-  TCIO_CHECK_MSG(g_ctx.comm != nullptr,
-                 "tcio_set_context() must be called before tcio_open()");
-  return g_ctx;
+// The simulation hosts every rank in one process and on one OS thread, so
+// the context lives with the running rank, not in a global or thread_local.
+tcio::sim::Proc& runningRank() {
+  tcio::sim::Proc* p = tcio::sim::Engine::current();
+  TCIO_CHECK_MSG(p != nullptr,
+                 "the TCIO C API is callable from rank bodies only");
+  return *p;
 }
 
 }  // namespace
 
 void tcio_set_context(tcio::mpi::Comm& comm, tcio::fs::Filesystem& fsys,
                       tcio::core::TcioConfig cfg) {
-  g_ctx = {&comm, &fsys, cfg};
+  runningRank().local() = RankContext{&comm, &fsys, cfg};
 }
 
 tcio_file* tcio_open(const char* fname, int mode) {
-  ThreadContext& c = ctx();
-  return new tcio::core::File(*c.comm, *c.fsys, fname,
-                              static_cast<unsigned>(mode), c.cfg);
+  const RankContext* c = std::any_cast<RankContext>(&runningRank().local());
+  TCIO_CHECK_MSG(c != nullptr,
+                 "tcio_set_context() must be called before tcio_open()");
+  return new tcio::core::File(*c->comm, *c->fsys, fname,
+                              static_cast<unsigned>(mode), c->cfg);
 }
 
 void tcio_stats(tcio_file* fh, tcio_stats_t* out) {

@@ -15,7 +15,7 @@
 // Because the simulated MPI job carries its communicator explicitly (there
 // is no process-global MPI_COMM_WORLD in a simulation hosting many ranks in
 // one process), a rank binds its communicator, file system, and TCIO
-// configuration to the calling thread once with tcio_set_context(); the
+// configuration to the calling rank once with tcio_set_context(); the
 // Program 1 calls then look exactly like the paper's.
 #pragma once
 
@@ -43,7 +43,7 @@ constexpr int TCIO_RDWR = 3;
 constexpr int TCIO_CREATE = 4;   // fs::kCreate
 constexpr int TCIO_TRUNC = 8;    // fs::kTruncate
 
-/// Binds this rank thread's context; call once per rank before tcio_open.
+/// Binds the calling rank's context; call once per rank before tcio_open.
 void tcio_set_context(tcio::mpi::Comm& comm, tcio::fs::Filesystem& fsys,
                       tcio::core::TcioConfig cfg = {});
 

@@ -1,5 +1,6 @@
-// GREEN fixture: banned-api. The approved counterparts — virtual time and
-// the simulated MPI layer — plus one reasoned waiver.
+// GREEN fixture: banned-api. The approved counterparts — virtual time, the
+// simulated MPI layer and per-rank state on sim::Proc — plus one reasoned
+// waiver.
 
 namespace fixture {
 
@@ -8,6 +9,11 @@ void approved(sim::Engine& eng, mpi::Comm& comm) {
   comm.barrier();
   eng.advance(sim::micros(5));
   consume(t0);
+}
+
+// Per-rank state rides on the running rank, not on the OS thread.
+void bindContext(const Context& ctx) {
+  sim::Engine::current()->local() = ctx;
 }
 
 // A justified waiver: operator-facing tooling may read the host clock when

@@ -1,5 +1,6 @@
-// RED fixture: banned-api. Wall-clock reads, raw MPI, raw threading and
-// real sleeps — all from a path outside src/sim and src/mpi.
+// RED fixture: banned-api. Wall-clock reads, raw MPI, raw threading, real
+// sleeps, thread-local state and fiber switches — all from a path outside
+// src/sim and src/mpi.
 
 namespace fixture {
 
@@ -24,6 +25,13 @@ class Guarded {
 
 void waitABit() {
   std::this_thread::sleep_for(pollInterval());  // LINT-EXPECT[banned-api]
+}
+
+// One copy per OS thread is one copy for every rank.
+thread_local Context* current_ctx = nullptr;  // LINT-EXPECT[banned-api]
+
+void yieldTo(ucontext_t* self, ucontext_t* peer) {
+  swapcontext(self, peer);  // LINT-EXPECT[banned-api]
 }
 
 }  // namespace fixture

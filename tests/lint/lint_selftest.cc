@@ -150,11 +150,19 @@ TEST(Suppression, WrongRuleDoesNotSilenceAnotherRulesFinding) {
 
 // --- banned-api path carve-outs ---------------------------------------------
 
-TEST(BannedApi, SimLayerMayUseRealThreadingPrimitives) {
+TEST(BannedApi, ThreadingPrimitivesAreBannedEvenInsideSim) {
   const std::string src =
       "void park() { std::mutex m; cv_.wait(lk); }\n";
-  EXPECT_TRUE(lintText("src/sim/engine.cc", src).empty());
+  EXPECT_FALSE(lintText("src/sim/engine.cc", src).empty());
   EXPECT_FALSE(lintText("src/tcio/file.cc", src).empty());
+}
+
+TEST(BannedApi, OnlySimMaySwitchFibersOrKeepThreadLocals) {
+  const std::string src =
+      "thread_local Engine* t_engine = nullptr;\n"
+      "void hop(ucontext_t* a, ucontext_t* b) { swapcontext(a, b); }\n";
+  EXPECT_TRUE(lintText("src/sim/engine.cc", src).empty());
+  EXPECT_EQ(lintText("src/tcio/capi.cc", src).size(), 2u);
 }
 
 TEST(BannedApi, MpiLayerMayNameRawMpiSymbols) {

@@ -1,6 +1,5 @@
 // Property test: the engine is bit-deterministic — the same program produces
-// identical virtual times and event counts on every run, regardless of how
-// the OS schedules the rank threads.
+// identical virtual times and event counts on every run.
 #include <gtest/gtest.h>
 
 #include <vector>

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -214,6 +217,115 @@ TEST(EngineTest, ManyRanksInterleaveCorrectly) {
     }
   });
   EXPECT_DOUBLE_EQ(eng.makespan(), static_cast<double>(P));
+}
+
+TEST(EngineTest, RankStackHoldsAOneMebibyteArray) {
+  // Parity with a default pthread stack: rank bodies may keep large arrays
+  // on the stack, across a suspension.
+  Engine eng(cfg(2));
+  std::vector<int> sums(2, 0);
+  eng.run([&](Proc& p) {
+    char big[1 << 20];
+    std::memset(big, p.rank() + 1, sizeof big);
+    p.advance(1.0);
+    p.atomic([] {});
+    int sum = 0;
+    for (std::size_t i = 0; i < sizeof big; i += 4096) sum += big[i];
+    sums[static_cast<std::size_t>(p.rank())] = sum;
+  });
+  EXPECT_EQ(sums[0], 256);
+  EXPECT_EQ(sums[1], 512);
+}
+
+TEST(EngineTest, FailureUnwindsStartedRanksAndSkipsUnstartedOnes) {
+  // Ranks 0-3 start and block; rank 4 throws before 5-7 are ever
+  // scheduled. Every started rank's RAII destructors must run; no rank
+  // after the failure may enter its body.
+  struct Guard {
+    int* count;
+    ~Guard() { ++*count; }
+  };
+  Engine eng(cfg(8));
+  Event never;
+  std::set<int> entered;
+  int destroyed = 0;
+  EXPECT_THROW(eng.run([&](Proc& p) {
+                 entered.insert(p.rank());
+                 Guard g{&destroyed};
+                 if (p.rank() == 4) throw FsError("rank 4 fails");
+                 p.wait(never, "blocked before the failure");
+               }),
+               FsError);
+  EXPECT_EQ(entered, (std::set<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(destroyed, 5);
+}
+
+TEST(EngineTest, FourThousandRanksOneEventEach) {
+  const int P = 4096;
+  Engine eng(cfg(P));
+  std::vector<int> order;
+  order.reserve(P);
+  eng.run([&](Proc& p) {
+    p.advance(static_cast<double>(P - p.rank()));
+    p.atomic([&] { order.push_back(p.rank()); });
+  });
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(P));
+  for (int i = 0; i < P; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], P - 1 - i);
+  }
+  EXPECT_EQ(eng.eventCount(), P);
+  EXPECT_DOUBLE_EQ(eng.makespan(), static_cast<double>(P));
+}
+
+TEST(EngineTest, ExceptionsBeingHandledArePerRank) {
+  // Both ranks suspend inside a catch block, interleaved: 0 catches, yields
+  // to 1, 1 catches, yields back to 0. Each rethrow must see its own rank's
+  // exception, and each catch must end without touching the other's.
+  Engine eng(cfg(2));
+  std::vector<std::string> rethrown(2);
+  eng.run([&](Proc& p) {
+    const std::string mine = "from rank " + std::to_string(p.rank());
+    try {
+      throw std::runtime_error(mine);
+    } catch (const std::runtime_error& e) {
+      p.advance(p.rank() == 0 ? 2.0 : 3.0);
+      p.atomic([] {});
+      EXPECT_EQ(std::uncaught_exceptions(), 0);
+      try {
+        throw;
+      } catch (const std::runtime_error& again) {
+        rethrown[static_cast<std::size_t>(p.rank())] = again.what();
+      }
+      EXPECT_EQ(std::string(e.what()), mine);
+    }
+  });
+  EXPECT_EQ(rethrown[0], "from rank 0");
+  EXPECT_EQ(rethrown[1], "from rank 1");
+}
+
+TEST(EngineTest, AtomicSectionsCannotNestOrBlock) {
+  Engine eng(cfg(1));
+  Event ev;
+  eng.run([&](Proc& p) {
+    EXPECT_THROW(p.atomic([&] { p.atomic([] {}); }), Error);
+    EXPECT_THROW(p.atomic([&] { p.wait(ev, "inside atomic"); }), Error);
+    p.atomic([&] { p.complete(ev, p.now()); });  // the rank is usable again
+    p.wait(ev, "completed");
+  });
+}
+
+TEST(EngineTest, CurrentIsTheRunningRank) {
+  EXPECT_EQ(Engine::current(), nullptr);
+  Engine eng(cfg(3));
+  std::vector<const Proc*> seen(3, nullptr);
+  eng.run([&](Proc& p) {
+    p.advance(static_cast<double>(3 - p.rank()));
+    p.atomic([] {});  // interleave the ranks
+    seen[static_cast<std::size_t>(p.rank())] = Engine::current();
+    EXPECT_EQ(Engine::current(), &p);
+  });
+  EXPECT_EQ(Engine::current(), nullptr);
+  for (const Proc* s : seen) EXPECT_NE(s, nullptr);
 }
 
 TEST(EngineTest, RunTwiceIsRejected) {

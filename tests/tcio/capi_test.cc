@@ -34,7 +34,7 @@ core::TcioConfig smallTcio() {
 
 TEST(CApiTest, OpenWithoutContextFails) {
   fs::Filesystem fsys(fsCfg());
-  // Run on a fresh thread (rank threads are fresh) without set_context.
+  // A fresh job: no rank has bound a context.
   EXPECT_THROW(mpi::runJob(job(1),
                            [&](mpi::Comm&) {
                              tcio_open("nocontext.dat",
@@ -177,6 +177,27 @@ TEST(CApiTest, TwoFilesConcurrently) {
   EXPECT_EQ(v, 2);
   fsys.peek("b.dat", 0, {reinterpret_cast<std::byte*>(&v), 4});
   EXPECT_EQ(v, 100);
+}
+
+TEST(CApiTest, ContextIsPerRank) {
+  // Every rank binds its own config, then all block in a collective before
+  // opening: each file must still carry the config its own rank bound.
+  fs::Filesystem fsys(fsCfg());
+  mpi::runJob(job(4), [&](mpi::Comm& comm) {
+    // Two read-path switches (a write-only file never uses them, and the
+    // geometry every rank must agree on stays the same) name the rank.
+    const bool lazy = (comm.rank() & 1) == 0;
+    const bool auto_fetch = (comm.rank() & 2) != 0;
+    core::TcioConfig cfg = smallTcio();
+    cfg.lazy_reads = lazy;
+    cfg.auto_fetch_on_segment_exit = auto_fetch;
+    tcio_set_context(comm, fsys, cfg);
+    comm.barrier();
+    tcio_file* fh = tcio_open("perrank.dat", TCIO_WRONLY | TCIO_CREATE);
+    EXPECT_EQ(fh->config().lazy_reads, lazy);
+    EXPECT_EQ(fh->config().auto_fetch_on_segment_exit, auto_fetch);
+    tcio_close(fh);
+  });
 }
 
 }  // namespace
